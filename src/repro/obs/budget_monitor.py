@@ -56,19 +56,10 @@ def classified_counts(result, types) -> Dict[str, int]:
     and dropped (their completeness story belongs to the MECE
     certificate, not to the monitor).
     """
-    if getattr(result, "has_block", False):
-        # Columnar fast path: count via whole-column masks without
-        # materialising IncidentRecord objects.
-        from ..traffic.records import \
-            classify_block_counts  # lazy: avoid cycles
-        counts, _ = classify_block_counts(result.record_block, list(types))
-        return counts
-    from ..core.incident import classify_records  # lazy: avoid cycles
-
-    buckets = classify_records(result.records, list(types))
-    return {type_id: len(records)
-            for type_id, records in buckets.items()
-            if type_id != "<unclassified>"}
+    from ..traffic.records import \
+        classify_block_counts  # lazy: avoid cycles
+    counts, _ = classify_block_counts(result.record_block, list(types))
+    return counts
 
 
 @dataclass(frozen=True)

@@ -236,7 +236,11 @@ class CampaignService:
             # while the admission rolled its queue entry back — the
             # idempotent retry re-seats it instead of stranding it.
             self.supervisor._enqueue(record, force=True)
-        return record, False, record.state == "done"
+        if record.state == "done":
+            # DESIGN §14: resubmitting a finished spec is a cache hit.
+            self.metrics.counter("service.cache_hits").inc()
+            return record, False, True
+        return record, False, False
 
     # -- queries -----------------------------------------------------------
 

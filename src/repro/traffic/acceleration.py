@@ -51,6 +51,7 @@ from .encounters import (SIGHT_DISTANCE_CLAMP_M, EncounterGenerator,
                          ProposalTilt, _lognormal_params)
 from .engine import CROSSING_CLASSES, simulate_importance, simulate_vectorized
 from .faults import BrakingSystem
+from .incidents import type_counts
 from .perception import PerceptionModel
 from .policy import TacticalPolicy
 from .simulator import SimulationConfig
@@ -145,8 +146,7 @@ def naive_collision_rate(policy: TacticalPolicy,
         result = simulate_vectorized(policy, generator, perception, braking,
                                      context, hours_per_replication, rng,
                                      config)
-        return sum(1 for r in result.records if r.is_collision) \
-            / hours_per_replication
+        return result.collision_count() / hours_per_replication
 
     estimate = stratified_rate(
         simulate_one, weights, seed=seed,
@@ -556,7 +556,6 @@ def adaptive_budget_campaign(policy: TacticalPolicy,
     round_records: List[AdaptiveCampaignRound] = []
     settled = False
     report: Optional[BudgetUtilisationReport] = None
-    from ..core.incident import classify_records
     for round_index in range(rounds):
         if report is None:
             uncertainty = {context: 1.0 for context in contexts}
@@ -577,14 +576,13 @@ def adaptive_budget_campaign(policy: TacticalPolicy,
                     hours_per_replication, streams[cursor], config)
                 cursor += 1
                 round_hours += hours_per_replication
-                monitor.observe_result(result, type_list)
-                buckets = classify_records(result.records, type_list)
+                counts, _ = type_counts(result, type_list)
+                monitor.observe_counts(counts, result.hours)
                 per_context = context_type_counts[context]
-                for type_id, bucket in buckets.items():
-                    if type_id == "<unclassified>" or not bucket:
-                        continue
-                    per_context[type_id] = \
-                        per_context.get(type_id, 0) + len(bucket)
+                for type_id, count in counts.items():
+                    if count:
+                        per_context[type_id] = \
+                            per_context.get(type_id, 0) + count
         report = monitor.utilisation()
         round_records.append(AdaptiveCampaignRound(
             index=round_index, allocation=dict(allocation),

@@ -77,8 +77,9 @@ CHUNK_TRANSPORTS = ("inline", "shm", "pickle")
   :class:`~repro.traffic.records.ShippedBlock` handle is pickled; the
   coordinator copies the block out and unlinks the segment.  Any shm
   failure degrades that chunk to ``"pickle"`` — never aborts.
-* ``"pickle"`` — the block-backed result is pickled whole; still
-  columnar (numpy arrays pickle compactly), just not zero-copy.
+* ``"pickle"`` — the result, records held as one block, is pickled
+  whole; still columnar (numpy arrays pickle compactly), just not
+  zero-copy.
 
 The coordinator counts what actually crossed the boundary:
 ``parallel.bytes_shipped`` accumulates payload bytes and
@@ -251,12 +252,13 @@ def _pack_output(result: SimulationResult,
     """Worker side of the chunk transport: choose what crosses the pool.
 
     ``"inline"`` hands the result over untouched (no process boundary).
-    Otherwise the record stream goes columnar: under ``"shm"`` the block
-    bytes are parked in a shared-memory segment and the pickled output
-    carries only the handle (plus a block-less result stub); any shm
-    failure — platform without segments, exhausted ``/dev/shm`` —
-    degrades this one chunk to ``"pickle"``, which ships the block-backed
-    result whole.  Either way no per-record Python objects are pickled.
+    Under ``"shm"`` the block bytes are parked in a shared-memory
+    segment and the pickled output carries only the handle (plus a
+    block-less result stub); any shm failure — platform without
+    segments, exhausted ``/dev/shm`` — degrades this one chunk to
+    ``"pickle"``, which ships the result whole.  Either way no
+    per-record Python objects are pickled: workers never decode the
+    object view.
     """
     if transport == "inline":
         return _ChunkOutput(result=result, telemetry=telemetry)
@@ -270,8 +272,8 @@ def _pack_output(result: SimulationResult,
             return _ChunkOutput(
                 result=result.replaced(records=RecordBlock.empty()),
                 telemetry=telemetry, shipped=shipped, transport="shm")
-    return _ChunkOutput(result=result.replaced(records=block),
-                        telemetry=telemetry, transport="pickle")
+    return _ChunkOutput(result=result, telemetry=telemetry,
+                        transport="pickle")
 
 
 def _receive_chunk_output(output: object,
@@ -362,36 +364,22 @@ def validate_chunk_output(chunk: Chunk, output: object) -> Optional[str]:
                 f"but hours is {result.hours!r}")
     window_lo = chunk.start - tol
     window_hi = chunk.start + chunk.size + tol
-    if result.has_block:
-        # Columnar fast path: whole-column finiteness and window checks,
-        # no record materialisation.  Same checks, same messages.
-        array = result.record_block.array
-        for name in ("time_h", "delta_v_kmh", "min_distance_m",
-                     "approach_speed_kmh"):
-            finite = np.isfinite(array[name])
-            if not finite.all():
-                value = float(array[name][int(np.argmin(finite))])
-                return f"record field {name} is not finite: {value!r}"
-        times = array["time_h"]
-        inside = (window_lo <= times) & (times <= window_hi)
-        if not inside.all():
-            time_h = float(times[int(np.argmin(inside))])
-            return (f"record at t={time_h!r} h falls outside this "
-                    f"chunk's window [{chunk.start!r}, "
-                    f"{chunk.start + chunk.size!r}] — result for the "
-                    f"wrong chunk index?")
-        return None
-    for record in result.records:
-        for name in ("time_h", "delta_v_kmh", "min_distance_m",
-                     "approach_speed_kmh"):
-            value = getattr(record, name)
-            if not math.isfinite(value):
-                return f"record field {name} is not finite: {value!r}"
-        if not window_lo <= record.time_h <= window_hi:
-            return (f"record at t={record.time_h!r} h falls outside this "
-                    f"chunk's window [{chunk.start!r}, "
-                    f"{chunk.start + chunk.size!r}] — result for the "
-                    f"wrong chunk index?")
+    # Whole-column finiteness and window checks, no record decode.
+    array = result.record_block.array
+    for name in ("time_h", "delta_v_kmh", "min_distance_m",
+                 "approach_speed_kmh"):
+        finite = np.isfinite(array[name])
+        if not finite.all():
+            value = float(array[name][int(np.argmin(finite))])
+            return f"record field {name} is not finite: {value!r}"
+    times = array["time_h"]
+    inside = (window_lo <= times) & (times <= window_hi)
+    if not inside.all():
+        time_h = float(times[int(np.argmin(inside))])
+        return (f"record at t={time_h!r} h falls outside this "
+                f"chunk's window [{chunk.start!r}, "
+                f"{chunk.start + chunk.size!r}] — result for the "
+                f"wrong chunk index?")
     return None
 
 

@@ -19,10 +19,10 @@ a single structured-numpy array instead:
   ``context_table`` — both directions are total and loss-free;
 * **canonical form**: a block's context table is always sorted and
   pruned to the contexts actually present, so two blocks holding the
-  same logical records are array-equal, and the canonical record sort
-  (:meth:`RecordBlock.canonical_sort`) is a pure ``np.lexsort`` over
-  the same field precedence as
-  :func:`~repro.traffic.simulator._record_sort_key`;
+  same logical records are array-equal, and the canonical record order
+  (:meth:`RecordBlock.canonical_order`) is a pure, stable
+  ``np.lexsort`` over every field: time, context, counterpart name,
+  collision flag, induced flag, Δv, distance, approach speed;
 * **O(1)-per-block merge**: :meth:`RecordBlock.concat` concatenates
   arrays and remaps context codes — no per-row Python objects anywhere.
 
@@ -35,7 +35,7 @@ Two transports move blocks between processes (DESIGN §12):
   Both sides unregister the segment from the ``resource_tracker``
   (creation *and* attachment register on POSIX, and the explicit
   unlink below would otherwise race the trackers at interpreter exit).
-* the pickle fallback: a block-backed result pickles as one numpy
+* the pickle fallback: a result pickles its block as one numpy
   array, still far cheaper than per-record objects.  Any shm failure
   (platform without ``/dev/shm``, exhausted segments) degrades to it
   per chunk, never aborting the campaign.
@@ -185,7 +185,7 @@ class RecordBlock:
 
     @classmethod
     def from_records(cls, records: Iterable[IncidentRecord]) -> "RecordBlock":
-        """Encode materialised records (compat path, not the hot path)."""
+        """Encode materialised records (the scalar engine and loaders)."""
         records = list(records)
         if not records:
             return cls.empty()
@@ -254,23 +254,31 @@ class RecordBlock:
 
     # -- canonical order --------------------------------------------------
 
-    def canonical_sort(self) -> "RecordBlock":
-        """The columnar ``_record_sort_key`` order.
+    def canonical_order(self) -> np.ndarray:
+        """The permutation that puts the rows in canonical order.
 
-        ``np.lexsort`` keys run least- to most-significant, so the list
-        below is the sort key's field precedence reversed.  Context and
-        counterpart compare by *code*, which equals comparing by string
-        because both tables are sorted.  The key covers every field, so
-        ties are bit-identical rows and stability is moot.
+        Field precedence: ``time_h``, context, counterpart name,
+        ``is_collision``, ``induced``, ``delta_v_kmh``,
+        ``min_distance_m``, ``approach_speed_kmh``.  ``np.lexsort`` keys
+        run least- to most-significant, so the list below is that
+        precedence reversed.  Context and counterpart compare by *code*,
+        which equals comparing by string because both tables are
+        sorted.  The sort is stable, so callers carrying a per-row side
+        array (the importance sampler's weights) can apply the same
+        permutation to it.
         """
+        a = self.array
+        return np.lexsort((a["approach_speed_kmh"], a["min_distance_m"],
+                           a["delta_v_kmh"], a["induced"],
+                           a["is_collision"], a["counterpart"],
+                           a["context"], a["time_h"]))
+
+    def canonical_sort(self) -> "RecordBlock":
+        """The block with its rows in :meth:`canonical_order`."""
         if len(self) <= 1:
             return self
-        a = self.array
-        order = np.lexsort((a["approach_speed_kmh"], a["min_distance_m"],
-                            a["delta_v_kmh"], a["induced"],
-                            a["is_collision"], a["counterpart"],
-                            a["context"], a["time_h"]))
-        return RecordBlock(a[order], self.context_table)
+        return RecordBlock(self.array[self.canonical_order()],
+                           self.context_table)
 
     # -- decode -----------------------------------------------------------
 

@@ -67,19 +67,6 @@ def _record_sim_metrics(*, hours: float, encounters: int, incidents: int,
     metrics.counter("sim.hard_braking_demands").inc(hard_demands)
 
 
-def _record_sort_key(record: IncidentRecord) -> Tuple:
-    """Total deterministic order over incident records.
-
-    Used to canonicalise record order when pooling runs, so that merging
-    is independent of the order in which chunks were produced.  The key
-    covers every field; two distinct records practically never tie (all
-    continuous quantities), and identical records sort stably anyway.
-    """
-    return (record.time_h, record.context, record.counterpart.name,
-            record.is_collision, record.induced, record.delta_v_kmh,
-            record.min_distance_m, record.approach_speed_kmh)
-
-
 @dataclass(frozen=True)
 class SimulationConfig:
     """Tunables that are properties of the *analysis*, not the vehicle.
@@ -118,24 +105,22 @@ class SimulationResult:
     ``encounters_resolved`` the total conflict count (the exposure the
     tactical policy shaped).
 
-    Storage is dual-mode.  ``records`` may be passed (and held) either
-    as a list of :class:`IncidentRecord` objects — the scalar engine's
-    native form — or as a columnar
-    :class:`~repro.traffic.records.RecordBlock`, the vectorized
-    engine's native form.  Both sides stay lazy: ``.records`` on a
-    block-backed result materialises the object view on first touch
-    (then caches it), ``.record_block`` on a list-backed result encodes
-    once on demand.  Every accessor returns identical values either
-    way, and equality compares content, not storage mode.
+    Records are stored in one form: a columnar
+    :class:`~repro.traffic.records.RecordBlock`.  The constructor takes
+    either a block (the vectorized engine's native form) or an iterable
+    of :class:`IncidentRecord` objects, which it encodes once, right
+    there.  ``.records`` is a decoded view of the block, built on first
+    access and cached; equality compares the blocks.
     """
 
     __slots__ = ("policy_name", "hours", "context_hours",
                  "encounters_resolved", "hard_braking_demands",
-                 "hard_braking_threshold_ms2", "_records", "_block")
+                 "hard_braking_threshold_ms2", "record_block",
+                 "_records_view")
 
     def __init__(self, policy_name: str, hours: float,
                  context_hours: Dict[str, float],
-                 records: "List[IncidentRecord] | RecordBlock",
+                 records: "Iterable[IncidentRecord] | RecordBlock",
                  encounters_resolved: int, hard_braking_demands: int,
                  hard_braking_threshold_ms2: float) -> None:
         self.policy_name = policy_name
@@ -144,65 +129,37 @@ class SimulationResult:
         self.encounters_resolved = encounters_resolved
         self.hard_braking_demands = hard_braking_demands
         self.hard_braking_threshold_ms2 = hard_braking_threshold_ms2
-        if isinstance(records, RecordBlock):
-            self._records: Optional[List[IncidentRecord]] = None
-            self._block: Optional[RecordBlock] = records
-        else:
-            self._records = list(records)
-            self._block = None
-
-    # -- dual-mode record storage -----------------------------------------
+        self.record_block = records if isinstance(records, RecordBlock) \
+            else RecordBlock.from_records(records)
+        self._records_view: Optional[List[IncidentRecord]] = None
 
     @property
     def records(self) -> List[IncidentRecord]:
-        """The object view; materialised (and cached) on first access."""
-        if self._records is None:
-            assert self._block is not None
-            self._records = self._block.to_records()
-        return self._records
-
-    @property
-    def record_block(self) -> RecordBlock:
-        """The columnar view; encoded (and cached) on first access."""
-        if self._block is None:
-            assert self._records is not None
-            self._block = RecordBlock.from_records(self._records)
-        return self._block
-
-    @property
-    def has_block(self) -> bool:
-        """Whether the columnar form already exists (no encode needed)."""
-        return self._block is not None
+        """The object view: decoded from the block on first access."""
+        if self._records_view is None:
+            self._records_view = self.record_block.to_records()
+        return self._records_view
 
     @property
     def num_records(self) -> int:
-        """Record count without materialising the object view."""
-        if self._records is not None:
-            return len(self._records)
-        assert self._block is not None
-        return len(self._block)
+        """Record count without decoding the object view."""
+        return len(self.record_block)
 
     def collision_count(self) -> int:
-        """Collision count without materialising the object view."""
-        if self._records is not None:
-            return sum(1 for r in self._records if r.is_collision)
-        assert self._block is not None
-        return self._block.collision_count
+        """Collision count without decoding the object view."""
+        return self.record_block.collision_count
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SimulationResult):
             return NotImplemented
-        if (self.policy_name != other.policy_name
-                or self.hours != other.hours
-                or self.context_hours != other.context_hours
-                or self.encounters_resolved != other.encounters_resolved
-                or self.hard_braking_demands != other.hard_braking_demands
-                or self.hard_braking_threshold_ms2
-                != other.hard_braking_threshold_ms2):
-            return False
-        if self._block is not None and other._block is not None:
-            return self._block == other._block
-        return self.records == other.records
+        return (self.policy_name == other.policy_name
+                and self.hours == other.hours
+                and self.context_hours == other.context_hours
+                and self.encounters_resolved == other.encounters_resolved
+                and self.hard_braking_demands == other.hard_braking_demands
+                and self.hard_braking_threshold_ms2
+                == other.hard_braking_threshold_ms2
+                and self.record_block == other.record_block)
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -210,8 +167,7 @@ class SimulationResult:
         return (f"SimulationResult(policy_name={self.policy_name!r}, "
                 f"hours={self.hours!r}, "
                 f"context_hours={self.context_hours!r}, "
-                f"records=<{self.num_records} records"
-                f"{' (columnar)' if self._records is None else ''}>, "
+                f"records=<{self.num_records} records>, "
                 f"encounters_resolved={self.encounters_resolved!r}, "
                 f"hard_braking_demands={self.hard_braking_demands!r}, "
                 f"hard_braking_threshold_ms2="
@@ -219,13 +175,12 @@ class SimulationResult:
 
     def replaced(self, **changes: object) -> "SimulationResult":
         """A copy with named constructor arguments replaced
-        (``dataclasses.replace`` for the dual-storage result)."""
+        (``dataclasses.replace`` for the slotted result)."""
         kwargs: Dict[str, object] = {
             "policy_name": self.policy_name,
             "hours": self.hours,
             "context_hours": self.context_hours,
-            "records": self._block if self._records is None
-            else self._records,
+            "records": self.record_block,
             "encounters_resolved": self.encounters_resolved,
             "hard_braking_demands": self.hard_braking_demands,
             "hard_braking_threshold_ms2": self.hard_braking_threshold_ms2,
@@ -301,24 +256,13 @@ class SimulationResult:
                 context_values.setdefault(context, []).append(hours)
         context_hours = {context: math.fsum(values)
                          for context, values in sorted(context_values.items())}
-        if all(result.has_block for result in results):
-            # Columnar merge: one O(total) concat + lexsort, no
-            # IncidentRecord objects.  Produces the same canonical
-            # order as the sorted() below (same key precedence), so
-            # storage mode never changes merge content.
-            records: "List[IncidentRecord] | RecordBlock" = \
-                RecordBlock.concat(
-                    [result.record_block for result in results]
-                ).canonical_sort()
-        else:
-            records = sorted(
-                (r for result in results for r in result.records),
-                key=_record_sort_key)
         return cls(
             policy_name=first.policy_name,
             hours=math.fsum(r.hours for r in results),
             context_hours=context_hours,
-            records=records,
+            records=RecordBlock.concat(
+                [result.record_block for result in results]
+            ).canonical_sort(),
             encounters_resolved=sum(r.encounters_resolved for r in results),
             hard_braking_demands=sum(r.hard_braking_demands for r in results),
             hard_braking_threshold_ms2=first.hard_braking_threshold_ms2,
@@ -475,8 +419,8 @@ def simulate(policy: TacticalPolicy,
         )
         _record_sim_metrics(
             hours=hours, encounters=result.encounters_resolved,
-            incidents=len(result.records),
-            collisions=sum(1 for r in result.records if r.is_collision),
+            incidents=result.num_records,
+            collisions=result.collision_count(),
             hard_demands=hard_demands)
         return result
 
@@ -549,12 +493,6 @@ def simulate_mix(policy: TacticalPolicy,
                                   context, ctx_hours, rng, config,
                                   time_offset_h=offset, engine=engine))
             offset += ctx_hours
-    if all(part.has_block for part in parts):
-        records: "List[IncidentRecord] | RecordBlock" = RecordBlock.concat(
-            [part.record_block for part in parts]).canonical_sort()
-    else:
-        records = sorted((r for part in parts for r in part.records),
-                         key=_record_sort_key)
     # Construct directly (rather than via merge_many) so the result's
     # total is the *requested* hours bit-for-bit, not a re-summation.
     return SimulationResult(
@@ -562,7 +500,8 @@ def simulate_mix(policy: TacticalPolicy,
         hours=hours,
         context_hours={context: ctx_hours
                        for (context, _), ctx_hours in zip(contexts, part_hours)},
-        records=records,
+        records=RecordBlock.concat(
+            [part.record_block for part in parts]).canonical_sort(),
         encounters_resolved=sum(p.encounters_resolved for p in parts),
         hard_braking_demands=sum(p.hard_braking_demands for p in parts),
         hard_braking_threshold_ms2=parts[0].hard_braking_threshold_ms2,

@@ -9,6 +9,8 @@ process-level story (real daemons, SIGKILL, recovery) lives in
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.io.artifact import ARTIFACTS
@@ -119,6 +121,24 @@ class TestResultCache:
                                                       tenant="blue")
         assert cached and cached_again and not created
         assert again.job_id == record.job_id
+
+    def test_resubmitting_a_done_job_is_a_cache_hit(self, service):
+        record, _, _ = service.submit(spec_payload(hours=2.0,
+                                                   chunk_hours=1.0))
+        deadline = time.monotonic() + 120.0
+        while service.store.load_job(record.job_id).state != "done":
+            assert time.monotonic() < deadline, "job never finished"
+            service.supervisor.tick()
+            time.sleep(0.05)
+        before = service.metrics.snapshot().counters()
+        again, created, cached = service.submit(
+            spec_payload(hours=2.0, chunk_hours=1.0))
+        after = service.metrics.snapshot().counters()
+        assert (again.job_id, created, cached) == (record.job_id, False,
+                                                   True)
+        assert after.get("service.cache_hits", 0) == \
+            before.get("service.cache_hits", 0) + 1
+        assert after["service.completed"] == before["service.completed"] == 1
 
     def test_result_envelope_requires_done(self, service):
         record, _, _ = service.submit(spec_payload())

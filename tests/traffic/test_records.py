@@ -24,12 +24,24 @@ from repro.core.incident import (ActorClass, ContributionSplit,
 from repro.traffic import (BrakingSystem, EncounterGenerator, RecordBlock,
                            RecordSink, SimulationResult,
                            classify_block_counts, default_context_profiles,
-                           default_perception, load_record_blocks,
-                           nominal_policy, run_fleet, type_counts)
+                           aggressive_policy, default_perception,
+                           load_record_blocks, nominal_policy, run_fleet,
+                           type_counts)
 from repro.traffic.records import (ACTOR_TABLE, RECORD_DTYPE,
                                    iter_record_blocks, receive_block,
                                    ship_block, shm_available)
-from repro.traffic.simulator import _record_sort_key
+
+
+def _record_sort_key(record):
+    """The canonical record order, spelled out on objects.
+
+    An oracle independent of :meth:`RecordBlock.canonical_order`: it
+    compares field values and counterpart *names* where the block
+    compares codes.
+    """
+    return (record.time_h, record.context, record.counterpart.name,
+            record.is_collision, record.induced, record.delta_v_kmh,
+            record.min_distance_m, record.approach_speed_kmh)
 
 
 def _sample_records():
@@ -264,7 +276,7 @@ class TestColumnarClassification:
         from repro.core import figure5_incident_types
 
         types = list(figure5_incident_types())
-        assert campaign.has_block
+        assert isinstance(campaign.record_block, RecordBlock)
         assert type_counts(campaign, types) == \
             classify_block_counts(campaign.record_block, types)
 
@@ -339,5 +351,113 @@ class TestMergePermutationInvariance:
         reference = SimulationResult.merge_many(chunks)
         shuffled = SimulationResult.merge_many(
             [chunks[index] for index in permutation])
-        assert shuffled.has_block
         assert shuffled == reference
+        # Block-built and list-built chunks are the same results.
+        assert shuffled == SimulationResult.merge_many(_chunk_results())
+
+
+_positive = st.floats(min_value=1e-3, max_value=500.0)
+_non_negative = st.floats(min_value=0.0, max_value=500.0)
+
+
+@st.composite
+def incident_records(draw):
+    """Any valid IncidentRecord (collisions need a positive delta_v,
+    near-misses a positive distance)."""
+    is_collision = draw(st.booleans())
+    return IncidentRecord(
+        counterpart=draw(st.sampled_from(list(ActorClass))),
+        is_collision=is_collision,
+        delta_v_kmh=draw(_positive if is_collision else _non_negative),
+        min_distance_m=draw(_non_negative if is_collision else _positive),
+        approach_speed_kmh=draw(_non_negative),
+        time_h=draw(st.floats(min_value=0.0, max_value=1e6)),
+        context=draw(st.text(alphabet="abu", max_size=3)),
+        induced=draw(st.booleans()))
+
+
+class TestSingleStorageForm:
+    """A result stores one RecordBlock; ``records`` is its decoded view."""
+
+    @given(records=st.lists(incident_records(), max_size=12))
+    @settings(max_examples=60, deadline=None)
+    def test_list_input_round_trips_in_order(self, records):
+        result = SimulationResult(
+            policy_name="nominal", hours=1.0, context_hours={"a": 1.0},
+            records=records, encounters_resolved=len(records),
+            hard_braking_demands=0, hard_braking_threshold_ms2=4.0)
+        assert result.records == records
+        assert result.num_records == len(records)
+        assert result.collision_count() == \
+            sum(1 for r in records if r.is_collision)
+
+    @pytest.fixture(scope="class")
+    def scalar_chunks(self):
+        from repro.traffic import simulate_mix
+
+        world = EncounterGenerator(default_context_profiles())
+        rng = np.random.default_rng(5)
+        return [simulate_mix(nominal_policy(), world, default_perception(),
+                             BrakingSystem(), {"urban": 0.7, "rural": 0.3},
+                             4.0, rng, time_offset_h=4.0 * index,
+                             engine="scalar")
+                for index in range(5)]
+
+    @given(permutation=st.permutations(range(5)))
+    @settings(max_examples=20, deadline=None)
+    def test_merge_of_scalar_chunks_is_the_oracle_sort(self, scalar_chunks,
+                                                       permutation):
+        pooled = [record for chunk in scalar_chunks
+                  for record in chunk.records]
+        assert pooled, "the chunks should produce some incidents"
+        merged = SimulationResult.merge_many(
+            [scalar_chunks[index] for index in permutation])
+        assert merged.records == sorted(pooled, key=_record_sort_key)
+
+    def test_importance_weights_follow_their_records(self):
+        """The sampler's weights equal an oracle-key sort of the
+        unsorted (record, weight) pairs, rebuilt here from the engine's
+        public per-batch pieces."""
+        from repro.stats.importance import bernoulli_log_ratio
+        from repro.traffic import ProposalTilt, simulate_importance
+        from repro.traffic.encounters import encounter_log_weights
+        from repro.traffic.engine import resolve_block_traced
+        from repro.traffic.simulator import SimulationConfig
+
+        world = EncounterGenerator(default_context_profiles())
+        policy, perception = aggressive_policy(), default_perception()
+        braking = BrakingSystem(degradation_occupancy=0.01)
+        tilt = ProposalTilt(rate_scale=2.0, sight_scale=0.6,
+                            speed_shift_kmh=5.0, degradation_scale=20.0)
+        run = simulate_importance(policy, world, perception, braking,
+                                  "urban", 20.0, np.random.default_rng(9),
+                                  None, tilt=tilt)
+
+        proposal = world.tilted(tilt)
+        nominal_occupancy = braking.degradation_occupancy
+        proposal_occupancy = nominal_occupancy * tilt.degradation_scale
+        proposal_braking = braking.with_occupancy(proposal_occupancy)
+        classes = proposal.active_classes("urban")
+        streams = np.random.default_rng(9).spawn(len(classes))
+        pairs = []
+        for counterpart, stream in zip(classes, streams):
+            batch = proposal.sample_class_batch(
+                "urban", counterpart, 20.0, policy.cue_probability, stream)
+            log_weights = encounter_log_weights(
+                batch, world.profile("urban"), tilt)
+            block, sources, degraded, _ = resolve_block_traced(
+                batch, policy, perception, proposal_braking,
+                SimulationConfig(), stream)
+            if len(batch):
+                log_weights += bernoulli_log_ratio(
+                    degraded, p_p=nominal_occupancy, p_q=proposal_occupancy)
+            weights = np.exp(log_weights)
+            pairs.extend(zip(block.to_records(),
+                             (float(weights[i]) for i in sources)))
+        unsorted = list(pairs)
+        pairs.sort(key=lambda pair: _record_sort_key(pair[0]))
+
+        assert pairs != unsorted, "the canonical sort should reorder rows"
+        assert len(set(w for _, w in pairs)) > 1, "the tilt should bite"
+        assert run.result.records == [record for record, _ in pairs]
+        assert run.record_weights.tolist() == [w for _, w in pairs]

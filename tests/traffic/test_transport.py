@@ -9,6 +9,8 @@ and checkpoints kill-and-resume across transports.
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.obs.session import telemetry_session
@@ -16,7 +18,8 @@ from repro.traffic import (CHUNK_TRANSPORTS, BrakingSystem,
                            CampaignCheckpoint, EncounterGenerator,
                            default_context_profiles, default_perception,
                            nominal_policy, run_fleet, shm_available)
-from repro.traffic.records import RecordSink, load_record_blocks
+from repro.traffic.records import (RecordBlock, RecordSink,
+                                   load_record_blocks)
 
 MIX = {"urban": 0.5, "suburban": 0.2, "rural": 0.2, "highway": 0.1}
 HOURS = 6.0
@@ -73,7 +76,11 @@ class TestTransportInvariance:
 
     def test_results_stay_columnar_through_the_pool(self, world):
         campaign = _run(world, workers=2, transport="pickle")
-        assert campaign.has_block
+        assert isinstance(campaign.record_block, RecordBlock)
+        # Nothing on the pool path decoded the object view, so the
+        # merged result carries no IncidentRecord objects at all.
+        assert b"IncidentRecord" not in pickle.dumps(campaign)
+        assert campaign.records  # decoding on demand still works
 
     @pytest.mark.skipif(not shm_available(), reason="no shared_memory here")
     def test_shm_ships_every_nonempty_chunk(self, world, reference):
