@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .ethics import EthicalConstraint
 from .incident import IncidentType
@@ -446,6 +445,9 @@ def allocate_lp(norm: QuantitativeRiskNorm,
         var_bounds = [(0.0, None)] * n + [(0.0, None)]
     else:
         raise AllocationError(f"unknown LP objective {objective!r}")
+
+    # Imported on use: only processes that solve an LP pay for it.
+    from scipy.optimize import linprog
 
     result = linprog(cost, A_ub=A_ub, b_ub=b_ub, bounds=var_bounds,
                      method="highs")

@@ -33,7 +33,8 @@ boundary.  The contract it enforces:
 
 Modules owning an artifact register its schema at import time against
 the process-wide :data:`ARTIFACTS` store; :func:`load_builtin_schemas`
-imports all of them (useful for the fuzz tier and tooling).
+imports all of them (useful for the fuzz tier and tooling), and the
+first lookup miss in a process runs it once before giving up.
 """
 
 from __future__ import annotations
@@ -202,6 +203,12 @@ class ArtifactStore:
         return schema
 
     def get(self, name: str) -> ArtifactSchema:
+        # The first miss in a process imports every built-in schema and
+        # looks again, so a lookup never depends on import order.
+        global _builtins_loaded
+        if name not in self._schemas and not _builtins_loaded:
+            _builtins_loaded = True
+            load_builtin_schemas()
         try:
             return self._schemas[name]
         except KeyError:
@@ -400,6 +407,9 @@ class ArtifactStore:
 
 #: The process-wide registry every built-in artifact registers against.
 ARTIFACTS = ArtifactStore()
+
+#: Set once :func:`load_builtin_schemas` has run on a lookup miss.
+_builtins_loaded = False
 
 
 def register_artifact(schema: ArtifactSchema) -> ArtifactSchema:

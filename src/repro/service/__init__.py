@@ -8,44 +8,52 @@ service journal.  ``kill -9`` at any instant loses no accepted job —
 recovery replays the spool and resumes from checkpoints bit-for-bit.
 """
 
-from .client import (RETRYABLE_STATUSES, ServiceClient, ServiceClientError,
-                     read_endpoint)
-from .fsck import (FINDING_KINDS, REPAIR_ACTIONS, Finding, FsckReport,
-                   daemon_pid, fsck_spool)
-from .gc import (GcPlan, GcReport, RetentionPolicy, compact_journal,
-                 plan_gc, run_gc)
-from .jobs import (JOB_RECORD_SCHEMA, JOB_RECORD_SCHEMA_NAME, JOB_STATES,
-                   PRIORITY_CLASSES, TERMINAL_STATES, CampaignSpec,
-                   DiskPressureError, DrainingError, InvalidSubmissionError,
-                   JobRecord, JobStateError, Lease, QueueFullError,
-                   ServiceError, SpoolError, UnknownJobError)
-from .journal import (SERVICE_EVENT_KINDS, SERVICE_JOURNAL_SCHEMA,
-                      SERVICE_JOURNAL_SCHEMA_NAME, ServiceEventRecord,
-                      ServiceJournal, read_service_journal,
-                      repair_service_journal_tail, scan_service_journal)
-from .leases import LeaseTable
-from .pressure import (PRESSURE_MODES, DiskPressureWatchdog)
-from .scheduler import FairShareScheduler, QueueEntry
-from .server import CampaignService, serve
-from .store import (JOB_RESULT_SCHEMA, JOB_RESULT_SCHEMA_NAME, JobResult,
-                    JobStore)
-from .supervisor import Supervisor
+from importlib import import_module as _import_module
 
-__all__ = [
-    "FINDING_KINDS", "JOB_RECORD_SCHEMA", "JOB_RECORD_SCHEMA_NAME",
-    "JOB_RESULT_SCHEMA", "JOB_RESULT_SCHEMA_NAME", "JOB_STATES",
-    "PRESSURE_MODES", "PRIORITY_CLASSES", "REPAIR_ACTIONS",
-    "RETRYABLE_STATUSES", "SERVICE_EVENT_KINDS", "SERVICE_JOURNAL_SCHEMA",
-    "SERVICE_JOURNAL_SCHEMA_NAME", "TERMINAL_STATES", "CampaignService",
-    "CampaignSpec", "DiskPressureError", "DiskPressureWatchdog",
-    "DrainingError", "FairShareScheduler", "Finding", "FsckReport",
-    "GcPlan", "GcReport", "InvalidSubmissionError", "JobRecord",
-    "JobResult", "JobStateError", "JobStore", "Lease", "LeaseTable",
-    "QueueEntry", "QueueFullError", "RetentionPolicy", "ServiceClient",
-    "ServiceClientError", "ServiceError", "ServiceEventRecord",
-    "ServiceJournal", "SpoolError", "Supervisor", "UnknownJobError",
-    "compact_journal", "daemon_pid", "fsck_spool", "plan_gc",
-    "read_endpoint", "read_service_journal",
-    "repair_service_journal_tail", "run_gc", "scan_service_journal",
-    "serve",
-]
+#: Public name → the submodule that defines it.  Names resolve on first
+#: access (PEP 562), so the ``repro submit/jobs/cancel`` client never
+#: imports the daemon, the store or the simulator, and the runner
+#: process imports only what ``run_job`` uses.
+_EXPORTS = {
+    **dict.fromkeys(("RETRYABLE_STATUSES", "ServiceClient",
+                     "ServiceClientError", "read_endpoint"), "client"),
+    **dict.fromkeys(("FINDING_KINDS", "REPAIR_ACTIONS", "Finding",
+                     "FsckReport", "daemon_pid", "fsck_spool"), "fsck"),
+    **dict.fromkeys(("GcPlan", "GcReport", "RetentionPolicy",
+                     "compact_journal", "plan_gc", "run_gc"), "gc"),
+    **dict.fromkeys(("JOB_RECORD_SCHEMA", "JOB_RECORD_SCHEMA_NAME",
+                     "JOB_STATES", "PRIORITY_CLASSES", "TERMINAL_STATES",
+                     "CampaignSpec", "DiskPressureError", "DrainingError",
+                     "InvalidSubmissionError", "JobRecord", "JobStateError",
+                     "Lease", "QueueFullError", "ServiceError", "SpoolError",
+                     "UnknownJobError"), "jobs"),
+    **dict.fromkeys(("SERVICE_EVENT_KINDS", "SERVICE_JOURNAL_SCHEMA",
+                     "SERVICE_JOURNAL_SCHEMA_NAME", "ServiceEventRecord",
+                     "ServiceJournal", "read_service_journal",
+                     "repair_service_journal_tail", "scan_service_journal"),
+                    "journal"),
+    "LeaseTable": "leases",
+    **dict.fromkeys(("PRESSURE_MODES", "DiskPressureWatchdog"), "pressure"),
+    **dict.fromkeys(("FairShareScheduler", "QueueEntry"), "scheduler"),
+    **dict.fromkeys(("CampaignService", "serve"), "server"),
+    **dict.fromkeys(("JOB_RESULT_SCHEMA", "JOB_RESULT_SCHEMA_NAME",
+                     "JobResult", "JobStore"), "store"),
+    "Supervisor": "supervisor",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str) -> object:
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(_import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list:
+    return sorted(set(globals()) | set(__all__))

@@ -25,10 +25,12 @@ from typing import Callable, Dict, List, Mapping, Optional, Union
 
 from ..errors import ReproError
 from ..io import ArtifactError, parse_artifact_bytes, parse_artifact_text
-from .store import ENDPOINT_FILENAME
 
-__all__ = ["RETRYABLE_STATUSES", "ServiceClient", "ServiceClientError",
-           "read_endpoint"]
+__all__ = ["ENDPOINT_FILENAME", "RETRYABLE_STATUSES", "ServiceClient",
+           "ServiceClientError", "read_endpoint"]
+
+#: The file in the spool where the daemon publishes its bound address.
+ENDPOINT_FILENAME = "endpoint.json"
 
 #: Statuses whose typed envelopes carry an authoritative retry hint:
 #: 429 queue-full, 503 draining, 507 disk-pressure.

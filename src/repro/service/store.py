@@ -43,6 +43,7 @@ from ..testing.chaos import fs_chaos, fs_fault, service_chaos
 from ..traffic.checkpoint import (RESULT_SPEC, result_from_dict,
                                   result_to_dict)
 from ..traffic.simulator import SimulationResult
+from .client import ENDPOINT_FILENAME
 from .jobs import JobRecord, SpoolError, _utc_now
 
 __all__ = ["JOB_RESULT_SCHEMA", "JOB_RESULT_SCHEMA_NAME", "JobResult",
@@ -52,7 +53,6 @@ JOB_RESULT_SCHEMA_NAME = "repro.job-result"
 JOB_RESULT_SCHEMA = f"{JOB_RESULT_SCHEMA_NAME}/v1"
 
 JOURNAL_FILENAME = "service-journal.jsonl"
-ENDPOINT_FILENAME = "endpoint.json"
 
 
 class JobResult:

@@ -21,7 +21,11 @@ Gamma-Poisson machinery here does the combination:
   required probability below the budget?
 
 All numbers remain auditable: a posterior is just (α, β), i.e. "events
-seen over exposure credited".
+seen over exposure credited".  Its quantiles and cdf come straight from
+``scipy.special``: ``quantile(q) = gammaincinv(α, q) · (1/β)`` and
+``P(λ ≤ x) = gammainc(α, x / (1/β))`` — bit-for-bit what
+``scipy.stats.gamma`` with ``scale=1/β`` computes, without importing
+``scipy.stats``.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from scipy import stats as _st
+from scipy.special import gammainc, gammaincinv
 
 __all__ = ["GammaRatePrior", "JEFFREYS", "prior_from_simulation",
            "field_exposure_to_demonstrate"]
@@ -61,8 +65,8 @@ class GammaRatePrior:
         _check_confidence(confidence)
         if self.beta == 0:
             return math.inf
-        return float(_st.gamma.ppf(confidence, self.alpha,
-                                   scale=1.0 / self.beta))
+        return float(gammaincinv(self.alpha, confidence)
+                     * (1.0 / self.beta))
 
     def credible_interval(self, confidence: float = 0.95,
                           ) -> Tuple[float, float]:
@@ -71,11 +75,9 @@ class GammaRatePrior:
         if self.beta == 0:
             return (0.0, math.inf)
         tail = (1.0 - confidence) / 2.0
-        return (
-            float(_st.gamma.ppf(tail, self.alpha, scale=1.0 / self.beta)),
-            float(_st.gamma.ppf(1.0 - tail, self.alpha,
-                                scale=1.0 / self.beta)),
-        )
+        scale = 1.0 / self.beta
+        return (float(gammaincinv(self.alpha, tail) * scale),
+                float(gammaincinv(self.alpha, 1.0 - tail) * scale))
 
     def probability_below(self, budget_rate: float) -> float:
         """P(λ ≤ budget) under this belief — the demonstration statement."""
@@ -83,8 +85,7 @@ class GammaRatePrior:
             raise ValueError("budget rate must be positive")
         if self.beta == 0:
             return 0.0
-        return float(_st.gamma.cdf(budget_rate, self.alpha,
-                                   scale=1.0 / self.beta))
+        return float(gammainc(self.alpha, budget_rate / (1.0 / self.beta)))
 
     def demonstrates(self, budget_rate: float,
                      confidence: float = 0.95) -> bool:
