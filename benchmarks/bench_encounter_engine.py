@@ -15,28 +15,50 @@ compatible incident statistics (the equivalence *proof* lives in
 tests/traffic/test_engine_equivalence.py; the bench only sanity-checks
 that the speed did not come from dropping work).
 
-Artifacts: ``benchmarks/output/encounter_engine.txt`` (table) and
-``benchmarks/output/BENCH_encounter_engine.json`` (machine-readable
-record of the measured speedups).
+A second test times the path users run: a ``run_fleet`` campaign at
+the default 250 h chunk size, reported as µs per encounter (best of
+``ROUNDS``), and one instrumented pass that splits that time into
+stages — encounter sampling, resolution, block build, canonical sort
+and merge.  The vectorized resolver runs once per (chunk × context),
+so the resolution stage is a handful of array passes per chunk.
+
+Artifacts: ``benchmarks/output/logs/encounter_engine*.txt`` (tables)
+and ``benchmarks/output/BENCH_encounter_engine.json`` (machine-readable
+record of the measured speedups and the per-stage breakdown).
 """
 
 from __future__ import annotations
 
 import json
 import time
+from collections import defaultdict
 
 import numpy as np
+from conftest import smoke_scaled
 
 from repro.reporting import render_table
-from repro.traffic import (BrakingSystem, EncounterGenerator,
-                           default_context_profiles, default_perception,
-                           nominal_policy, simulate_mix)
+from repro.traffic import (DEFAULT_CHUNK_HOURS, BrakingSystem,
+                           EncounterGenerator, RecordBlock,
+                           SimulationResult, default_context_profiles,
+                           default_perception, engine, nominal_policy,
+                           run_fleet, simulate_mix)
 
 MIX = {"urban": 0.5, "suburban": 0.2, "rural": 0.2, "highway": 0.1}
 SEED = 2020
 REFERENCE_HOURS = 200.0   # the ISSUE-2 acceptance workload
 SCALED_HOURS = 2000.0     # 10×: where the engines' scaling separates
 ROUNDS = 3                # best-of to shed scheduler noise
+CAMPAIGN_HOURS = smoke_scaled(20_000.0, 1_000.0)  # 80 default chunks
+
+#: (stage, owner, attribute) — the functions each stage's time is
+#: summed over.
+STAGES = [
+    ("sample", "generator", "sample_class_batch"),
+    ("resolve", "engine", "resolve_batch"),
+    ("block build", "block", "from_columns"),
+    ("canonical sort", "block", "canonical_sort"),
+    ("merge", "result", "merge_many"),
+]
 
 
 def _best_of(engine: str, hours: float, world) -> tuple:
@@ -94,7 +116,7 @@ def test_vectorized_engine_speedup(benchmark, save_artifact, output_dir):
         rows,
         title="Vectorized encounter engine: single-core simulate_mix, "
               "best of 3"))
-    (output_dir / "BENCH_encounter_engine.json").write_text(json.dumps({
+    _update_pin(output_dir, {
         "workload": {"mix": MIX, "seed": SEED, "policy": "nominal",
                      "rounds_best_of": ROUNDS},
         "reference_hours": REFERENCE_HOURS,
@@ -105,7 +127,7 @@ def test_vectorized_engine_speedup(benchmark, save_artifact, output_dir):
         "scalar_s_at_scaled": scalar_big_s,
         "vectorized_s_at_scaled": vector_big_s,
         "speedup_at_scaled": speedup_big,
-    }, indent=2) + "\n")
+    })
 
     # The acceptance criterion: ≥3× single-core at 200 simulated hours.
     assert speedup_ref >= 3.0, (
@@ -115,3 +137,104 @@ def test_vectorized_engine_speedup(benchmark, save_artifact, output_dir):
         "vectorized advantage should not shrink with scale: "
         f"{speedup_big:.2f}x at {SCALED_HOURS:g} h vs "
         f"{speedup_ref:.2f}x at {REFERENCE_HOURS:g} h")
+
+
+def _update_pin(output_dir, entries) -> None:
+    """Merge ``entries`` into BENCH_encounter_engine.json (two tests
+    write disjoint keys of the one pin)."""
+    path = output_dir / "BENCH_encounter_engine.json"
+    pin = json.loads(path.read_text()) if path.exists() else {}
+    pin.update(entries)
+    path.write_text(json.dumps(pin, indent=2) + "\n")
+
+
+def _campaign(world):
+    return run_fleet(nominal_policy(), world, default_perception(),
+                     BrakingSystem(), MIX, CAMPAIGN_HOURS, SEED, workers=1,
+                     chunk_hours=DEFAULT_CHUNK_HOURS)
+
+
+def _stage_seconds(world, monkeypatch):
+    """One campaign with every stage function wrapped in a timer.
+
+    Times are exclusive: a stage called inside another (the block build
+    inside resolution, the canonical sort inside a merge) is charged to
+    itself only, so the stages add up without double counting.
+    """
+    owners = {"generator": EncounterGenerator, "engine": engine,
+              "block": RecordBlock, "result": SimulationResult}
+    busy = defaultdict(float)
+    nested = []  # time spent in inner stages, one slot per active call
+    for stage, owner_name, name in STAGES:
+        owner = owners[owner_name]
+        raw = owner.__dict__[name] if isinstance(owner, type) \
+            else getattr(owner, name)
+        is_classmethod = isinstance(raw, classmethod)
+        func = raw.__func__ if is_classmethod else raw
+
+        def timed(*args, _func=func, _stage=stage, **kwargs):
+            nested.append(0.0)
+            start = time.perf_counter()
+            try:
+                return _func(*args, **kwargs)
+            finally:
+                elapsed = time.perf_counter() - start
+                busy[_stage] += elapsed - nested.pop()
+                if nested:
+                    nested[-1] += elapsed
+
+        monkeypatch.setattr(owner, name,
+                            classmethod(timed) if is_classmethod else timed)
+    start = time.perf_counter()
+    result = _campaign(world)
+    wall = time.perf_counter() - start
+    monkeypatch.undo()
+    return result, wall, dict(busy)
+
+
+def test_default_chunk_cost_per_encounter(save_artifact, output_dir,
+                                          monkeypatch):
+    world = EncounterGenerator(default_context_profiles())
+    _campaign(world)  # warm
+
+    best = float("inf")
+    result = None
+    for _ in range(ROUNDS):
+        start = time.perf_counter()
+        result = _campaign(world)
+        best = min(best, time.perf_counter() - start)
+    encounters = result.encounters_resolved
+    us_per_encounter = best * 1e6 / encounters
+
+    traced, traced_wall, busy = _stage_seconds(world, monkeypatch)
+    assert traced == result, "timing the stages changed the campaign"
+
+    rows = [[stage, f"{busy[stage] * 1e3:.1f}",
+             f"{busy[stage] * 1e6 / encounters:.3f}",
+             f"{100.0 * busy[stage] / traced_wall:.1f}%"]
+            for stage, _, _ in STAGES]
+    rows.append(["campaign (untraced, best of "
+                 f"{ROUNDS})", f"{best * 1e3:.1f}",
+                 f"{us_per_encounter:.3f}", "--"])
+    save_artifact("encounter_engine_stages", render_table(
+        ["stage", "wall clock (ms)", "µs / encounter", "share of traced"],
+        rows,
+        title=f"run_fleet, {CAMPAIGN_HOURS:g} h in "
+              f"{DEFAULT_CHUNK_HOURS:g} h chunks, one worker: "
+              f"{encounters} encounters"))
+    _update_pin(output_dir, {"default_chunk": {
+        "campaign_hours": CAMPAIGN_HOURS,
+        "chunk_hours": DEFAULT_CHUNK_HOURS,
+        "encounters": encounters,
+        "campaign_s": best,
+        "us_per_encounter": us_per_encounter,
+        "stages_us_per_encounter": {
+            stage: busy[stage] * 1e6 / encounters
+            for stage, _, _ in STAGES},
+        "traced_campaign_s": traced_wall,
+    }})
+
+    # Exclusive stage times: each was hit, and together they fit in the
+    # traced wall clock.
+    assert all(busy[stage] > 0.0 for stage, _, _ in STAGES)
+    assert sum(busy.values()) <= traced_wall

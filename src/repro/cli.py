@@ -669,6 +669,7 @@ def _cmd_accelerated(args: argparse.Namespace, policy) -> int:
     Exit 5 on a degenerate IS proposal (weight alarm tripped) — the
     estimate cannot be trusted and the tilt needs re-choosing.
     """
+    from repro.io.atomic import atomic_write_text
     from repro.stats import WeightDegeneracyError
     from repro.traffic import (BrakingSystem, EncounterGenerator,
                                ProposalTilt, accelerated_collision_rate,
@@ -712,13 +713,14 @@ def _cmd_accelerated(args: argparse.Namespace, policy) -> int:
               f"({diag.ess_fraction:.1%}), max share "
               f"{diag.max_weight_fraction:.1%}")
     if args.json is not None:
-        args.json.write_text(json.dumps(rate.to_dict(), indent=2))
+        atomic_write_text(args.json, json.dumps(rate.to_dict(), indent=2))
         print(f"summary written to {args.json}")
     return 0
 
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
     from repro.core import figure5_incident_types
+    from repro.io.atomic import atomic_write_text
     from repro.obs import ThroughputMeter
     from repro.stats import CampaignPartialFailure
     from repro.traffic import (CheckpointMismatchError, policy_by_name,
@@ -857,7 +859,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         print(budget_report.render())
     _write_exports(args, session, recorder)
     if args.json is not None:
-        args.json.write_text(json.dumps(summary, indent=2))
+        atomic_write_text(args.json, json.dumps(summary, indent=2))
         print(f"summary written to {args.json}")
     return 0
 

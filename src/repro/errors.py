@@ -36,6 +36,8 @@ The concrete artifact failures an I/O boundary can produce:
   whose *structure or values* violate the schema: missing or unknown
   fields, wrong types, non-finite numbers, or domain rules (e.g. a goal
   referencing an unknown incident type).
+* :class:`ArtifactWriteError` — an artifact could not be put in place
+  at its path (the destination is a directory, permission denied).
 
 Loaders registered with :class:`repro.io.ArtifactStore` are guaranteed
 to raise only this taxonomy — never a bare ``KeyError`` / ``TypeError``
@@ -54,6 +56,7 @@ __all__ = [
     "SchemaMismatchError",
     "SchemaVersionError",
     "ArtifactValidationError",
+    "ArtifactWriteError",
 ]
 
 
@@ -115,3 +118,10 @@ class SchemaVersionError(ArtifactError):
 class ArtifactValidationError(ArtifactError):
     """The document is well-formed and correctly tagged, but its
     structure or values violate the artifact's schema."""
+
+
+class ArtifactWriteError(ArtifactError, OSError):
+    """An artifact could not be renamed into place at its path (the
+    destination is a directory, permission denied, ...).  Also an
+    :class:`OSError`, so storage layers that translate filesystem
+    failures (spool, checkpoint) keep translating this one."""

@@ -10,7 +10,10 @@ place the pattern lives now (DESIGN §10).  The contract:
   any point leaves either the previous complete file or the new complete
   file on disk — never a torn one;
 * the temp file is unlinked on any failure, so no ``*.tmp`` residue
-  accumulates next to checkpoints.
+  accumulates next to checkpoints;
+* a rename that fails (the destination is a directory, permission
+  denied) raises the typed :class:`~repro.errors.ArtifactWriteError`,
+  which the CLI reports as one ``error: <path>: …`` line with exit 4.
 
 The one failure the unlink cannot cover is a hard crash (SIGKILL, power
 loss) *between* ``mkstemp`` and ``os.replace``: the orphaned temp file
@@ -34,6 +37,8 @@ import os
 import tempfile
 from pathlib import Path
 from typing import Iterator
+
+from ..errors import ArtifactWriteError
 
 __all__ = ["atomic_write_text", "iter_orphan_tmp", "sweep_orphan_tmp",
            "ORPHAN_TMP_PREFIX", "ORPHAN_TMP_SUFFIX"]
@@ -85,7 +90,11 @@ def atomic_write_text(path: "Path | str", text: str, *,
                 if fault == "eio":
                     raise fs_fault(fault, "atomic-write")
                 os.fsync(handle.fileno())
-        os.replace(tmp_name, path)
+        try:
+            os.replace(tmp_name, path)
+        except OSError as exc:
+            raise ArtifactWriteError(f"cannot write: {exc.strerror or exc}",
+                                     source=path) from exc
         if fault == "shortfsync":
             # The rename landed; the durability step "failed".  The
             # caller sees an error while the file is complete — retries

@@ -2,11 +2,15 @@
 
 One daemon thread ticks over three duties, all under the service lock:
 
-* **Reap** — collect exited runners.  Exit 0 with a result artifact on
-  disk is a completion; exit 130 during drain parks the job back in
-  ``queued`` (its checkpoint holds the progress) for the *next* daemon;
-  anything else is a crash, requeued up to ``max_attempts`` service
-  attempts and then failed with the runner's parked diagnostic.
+* **Reap** — collect exited runners.  A result artifact on disk is a
+  completion after exit 0, and after any exit while the supervisor is
+  interrupting runners itself (drain or minimal disk-pressure mode: the
+  SIGTERM may land after the runner committed).  Otherwise exit 130
+  during such an interruption parks the job back in ``queued`` (its
+  checkpoint holds the progress) for the *next* daemon, and anything
+  else is a crash, requeued up to ``max_attempts`` service attempts
+  and then failed with the runner's parked diagnostic; a crash after
+  the result commit is healed by the grant's cache check.
 * **Watch heartbeats** — a lease whose heartbeat file stops advancing
   for a TTL is expired: the runner is SIGKILLed and the next reap
   requeues the job (resume from checkpoint makes a stale kill safe).
@@ -182,12 +186,14 @@ class Supervisor:
             if record.state == "cancelled":
                 self._store.clear_runner_state(job_id)
                 continue
-            if returncode == 0 \
+            interrupted = self.draining or self.pressure_mode == "minimal"
+            if (returncode == 0 or interrupted) \
                     and self._store.has_result(record.spec_digest):
+                # Our own SIGTERM can land after the runner committed its
+                # result: that is a completion, whatever the exit status.
                 result = self._store.load_result(record.spec_digest)
                 self._complete(record, result, cached=False)
-            elif returncode == 130 and (self.draining
-                                        or self.pressure_mode == "minimal"):
+            elif returncode == 130 and interrupted:
                 # Graceful drain (shutdown or minimal-mode disk
                 # pressure): the checkpoint holds the progress; park the
                 # job until the next daemon — or the next nominal mode.

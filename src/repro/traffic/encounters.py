@@ -349,10 +349,11 @@ class EncounterGenerator:
         """Sample one (context, class) group as a structure of arrays.
 
         Whole-array draw order on ``rng`` (the class's own sub-stream —
-        documented in DESIGN §6, and fixed so results never depend on any
+        documented in DESIGN §7, and fixed so results never depend on any
         internal batching): Poisson count, arrival times, sight
         distances, counterpart speeds, cue uniforms.  A zero count stops
-        after the Poisson draw, mirroring the scalar generator.
+        after the Poisson draw, mirroring the scalar generator; a zero
+        rate makes no draw at all.
         """
         if hours <= 0 or not math.isfinite(hours):
             raise ValueError(f"hours must be positive and finite, got {hours}")
@@ -364,16 +365,13 @@ class EncounterGenerator:
         except KeyError:
             raise KeyError(
                 f"context {context!r} has no rate for {counterpart}") from None
-        empty = EncounterBatch(
-            counterpart=counterpart, context=context,
-            time_h=np.empty(0), sight_distance_m=np.empty(0),
-            counterpart_speed_kmh=np.empty(0),
-            cue_available=np.empty(0, dtype=bool))
-        if rate == 0.0:
-            return empty
-        count = int(rng.poisson(rate * hours))
+        count = int(rng.poisson(rate * hours)) if rate > 0.0 else 0
         if count == 0:
-            return empty
+            return EncounterBatch(
+                counterpart=counterpart, context=context,
+                time_h=np.empty(0), sight_distance_m=np.empty(0),
+                counterpart_speed_kmh=np.empty(0),
+                cue_available=np.empty(0, dtype=bool))
         times = np.sort(rng.uniform(0.0, hours, size=count))
         mean_d, std_d = profile.sight_distance_m[counterpart]
         mean_v, std_v = profile.counterpart_speed_kmh[counterpart]

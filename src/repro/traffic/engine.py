@@ -5,25 +5,32 @@ simulator (:mod:`.simulator`) resolves encounters one Python object at a
 time — transparent, and kept as the reference oracle — but the sample
 sizes that quantitative acceptance criteria demand (cf. de Gelder &
 Op den Camp; Putze et al.) need the per-core path to be array code.  This
-engine batches every draw and every kinematic resolution per
-(context × counterpart class) group and only materialises
+engine draws every random quantity whole-array per (context ×
+counterpart class) sub-stream, resolves the kinematics of all classes
+of a context in one array pass, and only materialises
 :class:`~repro.core.incident.IncidentRecord` objects for the rare
 elements that actually become collisions, near-misses, or induced
 incidents.
 
 RNG sub-stream layout (the engine's determinism contract, also in
-DESIGN §6):
+DESIGN §7):
 
 * ``simulate(engine="vectorized")`` spawns **one child generator per
   active counterpart class** of the context, in the canonical order of
   :meth:`EncounterGenerator.active_classes` (sorted by class name).
-* On its own sub-stream, each class group draws, whole-array and in this
-  fixed order: Poisson count → arrival times → sight distances →
-  counterpart speeds → cue uniforms (generation,
+* **Draws stay per class.**  On its own sub-stream, each class draws,
+  whole-array and in this fixed order: Poisson count → arrival times →
+  sight distances → counterpart speeds → cue uniforms (generation,
   :meth:`EncounterGenerator.sample_class_batch`); then capability
   uniforms → perception miss uniforms → perception fraction normals
-  (resolution); then one follower uniform per hard-braking demand and
-  one distance + one speed uniform per induced incident.
+  (resolution); then one follower uniform per hard-braking demand of
+  that class and one distance + one speed uniform per induced incident.
+* **Arithmetic runs per (chunk, context).**  :func:`resolve_batch`
+  concatenates the per-class draws of a context and runs detection,
+  approach speed, braking, impact and classification once over the
+  whole context.  Every operation is elementwise IEEE arithmetic on
+  per-context parameters, so fusing classes cannot change a bit; only
+  the mask-sized follower and induced draws are split back per class.
 * Because every draw is whole-array on a private sub-stream, the results
   are a pure function of ``(seed, context, hours, class set)`` — no
   internal batching, chunking, or vector width can change them.
@@ -39,7 +46,7 @@ single-encounter batches, where the layouts coincide.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -57,8 +64,8 @@ from .policy import TacticalPolicy
 
 from .records import RecordBlock, actor_code
 
-__all__ = ["resolve_batch", "resolve_block_traced", "simulate_vectorized",
-           "simulate_importance", "ImportanceRun", "CROSSING_CLASSES"]
+__all__ = ["resolve_batch", "simulate_vectorized", "simulate_importance",
+           "ImportanceRun", "CROSSING_CLASSES"]
 
 CROSSING_CLASSES = frozenset({ActorClass.VRU, ActorClass.ANIMAL,
                               ActorClass.STATIC_OBJECT})
@@ -66,46 +73,42 @@ CROSSING_CLASSES = frozenset({ActorClass.VRU, ActorClass.ANIMAL,
 speed.  Same-direction traffic closes at the speed difference."""
 
 
-def resolve_batch(batch: EncounterBatch, policy: TacticalPolicy,
+def resolve_batch(batches: Sequence[EncounterBatch],
+                  streams: Sequence[np.random.Generator],
+                  policy: TacticalPolicy,
                   perception: PerceptionModel, braking: BrakingSystem,
                   config: "SimulationConfig",
-                  rng: np.random.Generator,
                   time_offset_h: float = 0.0,
-                  ) -> Tuple[RecordBlock, int]:
-    """Resolve one (context, class) batch; returns (block, hard demands).
+                  ) -> Tuple[RecordBlock, np.ndarray, np.ndarray, int]:
+    """Resolve the class batches of one context in a single array pass.
 
-    ``rng`` is the batch's own sub-stream, already advanced past the
-    generation draws; this function performs the resolution draws in the
-    documented order (capabilities, perception, follower) and then pure
-    array math.  Incidents come back as one columnar
-    :class:`~repro.traffic.records.RecordBlock` — no per-row Python
-    objects on this path — unsorted (the caller canonicalises);
-    ``block.to_records()`` materialises the object view when needed.
+    ``streams[k]`` is the sub-stream of ``batches[k]``, already advanced
+    past its generation draws; on it this function makes the class's
+    resolution draws in the documented order (capabilities, perception,
+    then follower and induced draws for that class's hard demands).  The
+    arithmetic runs once over the concatenated encounters.
+
+    Returns ``(block, sources, degraded, n_hard)``.  ``block`` holds the
+    incidents, unsorted (the caller canonicalises), with rows grouped by
+    class in batch order and, within a class, as collisions |
+    near-misses | induced, each in encounter order — exactly the
+    concatenation of resolving each batch alone.  ``sources`` maps each
+    row to the index, within the concatenated encounters, of the
+    encounter that produced it (induced incidents point at the encounter
+    whose hard stop triggered them); ``degraded`` is the per-encounter
+    braking fault-state mask; ``n_hard`` counts hard-braking demands.
+    The importance sampler uses the provenance to attach records their
+    encounters' likelihood-ratio weights and to reweight tilted fault
+    occupancies exactly.
     """
-    block, _, _, n_hard = resolve_block_traced(
-        batch, policy, perception, braking, config, rng, time_offset_h)
-    return block, n_hard
-
-
-def resolve_block_traced(batch: EncounterBatch, policy: TacticalPolicy,
-                         perception: PerceptionModel, braking: BrakingSystem,
-                         config: "SimulationConfig",
-                         rng: np.random.Generator,
-                         time_offset_h: float = 0.0,
-                         ) -> Tuple[RecordBlock, np.ndarray,
-                                    np.ndarray, int]:
-    """:func:`resolve_batch` plus per-record and per-encounter provenance.
-
-    Returns ``(block, sources, degraded, n_hard)``: ``sources`` maps
-    each block row to the index (within ``batch``) of the encounter that
-    produced it — induced incidents point at the encounter whose hard
-    stop triggered them — and ``degraded`` is the per-encounter braking
-    fault-state mask.  Identical draws and arithmetic to
-    :func:`resolve_batch`; the importance sampler uses the provenance to
-    attach records their encounters' likelihood-ratio weights and to
-    reweight tilted fault occupancies exactly.
-    """
-    n = len(batch)
+    if len(batches) != len(streams):
+        raise ValueError(f"{len(batches)} batches but {len(streams)} "
+                         f"streams")
+    contexts = {batch.context for batch in batches}
+    if len(contexts) > 1:
+        raise ValueError(f"batches span several contexts: "
+                         f"{sorted(contexts)}")
+    n = sum(len(batch) for batch in batches)
     session = active_session()
     if session is not None:
         session.metrics.counter("engine.batches").inc()
@@ -114,35 +117,54 @@ def resolve_block_traced(batch: EncounterBatch, policy: TacticalPolicy,
         return (RecordBlock.empty(), np.zeros(0, dtype=np.int64),
                 np.zeros(0, dtype=bool), 0)
     with maybe_span("resolve_batch"):
-        return _resolve_batch_body(batch, policy, perception, braking,
-                                   config, rng, time_offset_h)
+        return _resolve_fused(batches, streams, policy, perception,
+                              braking, config, time_offset_h)
 
 
-def _resolve_batch_body(batch: EncounterBatch, policy: TacticalPolicy,
-                        perception: PerceptionModel, braking: BrakingSystem,
-                        config: "SimulationConfig",
-                        rng: np.random.Generator,
-                        time_offset_h: float,
-                        ) -> Tuple[RecordBlock, np.ndarray,
-                                   np.ndarray, int]:
-    n = len(batch)
-    context = batch.context
+def _resolve_fused(batches: Sequence[EncounterBatch],
+                   streams: Sequence[np.random.Generator],
+                   policy: TacticalPolicy,
+                   perception: PerceptionModel, braking: BrakingSystem,
+                   config: "SimulationConfig", time_offset_h: float,
+                   ) -> Tuple[RecordBlock, np.ndarray, np.ndarray, int]:
+    context = batches[0].context
+    live = [(batch, stream) for batch, stream in zip(batches, streams)
+            if len(batch)]
+    sizes = [len(batch) for batch, _ in live]
 
-    # Resolution draws — whole-array, fixed order.
-    actual_capability, degraded = \
-        braking.sample_capability_array_traced(rng, n)
-    detection = perception.detection_distance_array(
-        batch.sight_distance_m, context, rng)
+    # Resolution draws — whole-array, per class stream, fixed order.
+    capability_parts, degraded_parts, missed_parts, nominal_parts = \
+        [], [], [], []
+    for (_, stream), size in zip(live, sizes):
+        capability, degraded = braking.sample_capability_array_traced(
+            stream, size)
+        missed, nominal = perception.draw_detection_arrays(
+            context, size, stream)
+        capability_parts.append(capability)
+        degraded_parts.append(degraded)
+        missed_parts.append(missed)
+        nominal_parts.append(nominal)
 
+    def fused(parts: List[np.ndarray]) -> np.ndarray:
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+    actual_capability = fused(capability_parts)
+    degraded = fused(degraded_parts)
+    sight = fused([batch.sight_distance_m for batch, _ in live])
+
+    # Arithmetic — once over every class of the context.
+    detection = perception.detection_distance_from_draws(
+        sight, context, fused(missed_parts), fused(nominal_parts))
     known_capability = braking.known_capability_array(actual_capability)
     ego_speed = policy.encounter_speed_ms_array(
-        context, batch.cue_available, batch.sight_distance_m,
+        context, fused([batch.cue_available for batch, _ in live]), sight,
         known_capability, braking.nominal_ms2)
-    if batch.counterpart in CROSSING_CLASSES:
-        closing = ego_speed
-    else:
-        closing = np.maximum(
-            ego_speed - kmh_to_ms(batch.counterpart_speed_kmh), 0.0)
+    same_direction = np.maximum(
+        ego_speed - kmh_to_ms(fused([batch.counterpart_speed_kmh
+                                     for batch, _ in live])), 0.0)
+    crossing = np.repeat([batch.counterpart in CROSSING_CLASSES
+                          for batch, _ in live], sizes)
+    closing = np.where(crossing, ego_speed, same_direction)
     active = closing > 0.0
 
     comfort = np.minimum(policy.comfort_braking_ms2, actual_capability)
@@ -163,67 +185,76 @@ def _resolve_batch_body(batch: EncounterBatch, policy: TacticalPolicy,
                  & (outcome.stop_margin_m < config.near_miss_distance_m)
                  & (closing_kmh > config.near_miss_speed_kmh))
 
-    times = batch.time_h + time_offset_h
     coll_idx = np.flatnonzero(collided)
     miss_idx = np.flatnonzero(near_miss)
     impact_kmh = ms_to_kmh(outcome.impact_speed_ms)
     min_distances = np.maximum(outcome.stop_margin_m, 1e-3)
 
     # Fig. 4's lower half: a hard ego stop with a close follower induces
-    # an incident between third parties.  One uniform per hard demand,
-    # then one distance and one speed uniform per induced incident.
+    # an incident between third parties.  On each class's own stream: one
+    # uniform per hard demand of that class, then one distance and one
+    # speed uniform per induced incident.
     hard_indices = np.flatnonzero(hard)
     n_hard = int(hard_indices.size)
+    ends = np.cumsum(sizes)
+    induced_parts, distance_parts, speed_parts = [], [], []
     if n_hard:
-        follower = rng.uniform(size=n_hard) \
-            < config.follower_presence_probability
-        induced_indices = hard_indices[follower]
-        n_induced = int(induced_indices.size)
-        induced_distance = rng.uniform(0.3, 4.0, size=n_induced)
-        induced_speed = rng.uniform(10.0, 60.0, size=n_induced)
-    else:
-        induced_indices = np.zeros(0, dtype=np.int64)
-        n_induced = 0
-        induced_distance = np.zeros(0)
-        induced_speed = np.zeros(0)
+        per_class = np.split(hard_indices,
+                             np.searchsorted(hard_indices, ends[:-1]))
+        for (_, stream), class_hard in zip(live, per_class):
+            if not class_hard.size:
+                continue
+            follower = stream.uniform(size=class_hard.size) \
+                < config.follower_presence_probability
+            class_induced = class_hard[follower]
+            induced_parts.append(class_induced)
+            distance_parts.append(
+                stream.uniform(0.3, 4.0, size=class_induced.size))
+            speed_parts.append(
+                stream.uniform(10.0, 60.0, size=class_induced.size))
 
-    # Columnar assembly: rows are [collisions | near-misses | induced],
-    # each segment in encounter order — the layout the per-row loops
-    # used to produce — with no IncidentRecord objects constructed.
-    n_coll = int(coll_idx.size)
-    n_miss = int(miss_idx.size)
-    total = n_coll + n_miss + n_induced
-    sources = np.concatenate(
-        [coll_idx, miss_idx, induced_indices]).astype(np.int64)
+    # Columnar assembly, with no IncidentRecord objects constructed.
+    # Rows are ordered by (class, segment, encounter) with segments
+    # collisions | near-misses | induced: the layout of resolving each
+    # class alone and concatenating.  The stable sort keeps the induced
+    # rows in class order, which is the order of their draws.
+    induced_indices = np.concatenate(induced_parts) if induced_parts \
+        else np.zeros(0, dtype=np.int64)
+    sources = np.concatenate([coll_idx, miss_idx, induced_indices])
+    if not sources.size:
+        return (RecordBlock.empty(), np.zeros(0, dtype=np.int64),
+                degraded, n_hard)
+    segment = np.repeat(np.arange(3), (coll_idx.size, miss_idx.size,
+                                       induced_indices.size))
+    source_class = np.searchsorted(ends, sources, side="right")
+    order = np.argsort(source_class * 3 + segment, kind="stable")
+    sources, segment, source_class = \
+        sources[order], segment[order], source_class[order]
+    is_collision = segment == 0
+    is_near_miss = segment == 1
+    induced = segment == 2
 
-    counterpart = np.full(total, actor_code(batch.counterpart),
-                          dtype=np.uint8)
-    counterpart[n_coll + n_miss:] = actor_code(ActorClass.CAR)
-    is_collision = np.zeros(total, dtype=bool)
-    is_collision[:n_coll] = True
-    induced_mask = np.zeros(total, dtype=bool)
-    induced_mask[n_coll + n_miss:] = True
-    delta_v = np.zeros(total)
-    delta_v[:n_coll] = impact_kmh[coll_idx]
-    min_distance = np.zeros(total)
-    min_distance[n_coll:n_coll + n_miss] = min_distances[miss_idx]
-    min_distance[n_coll + n_miss:] = induced_distance
-    approach = np.empty(total)
-    approach[:n_coll] = closing_kmh[coll_idx]
-    approach[n_coll:n_coll + n_miss] = closing_kmh[miss_idx]
-    approach[n_coll + n_miss:] = induced_speed
-
+    class_codes = np.array([actor_code(batch.counterpart)
+                            for batch, _ in live], dtype=np.uint8)
+    counterpart = np.where(induced, actor_code(ActorClass.CAR),
+                           class_codes[source_class])
+    min_distance = np.where(is_near_miss, min_distances[sources], 0.0)
+    approach = closing_kmh[sources]
+    if induced_parts:
+        min_distance[induced] = np.concatenate(distance_parts)
+        approach[induced] = np.concatenate(speed_parts)
     block = RecordBlock.from_columns(
         counterpart=counterpart,
         is_collision=is_collision,
-        delta_v_kmh=delta_v,
+        delta_v_kmh=np.where(is_collision, impact_kmh[sources], 0.0),
         min_distance_m=min_distance,
         approach_speed_kmh=approach,
-        time_h=times[sources],
-        context=np.zeros(total, dtype=np.uint16),
+        time_h=fused([batch.time_h for batch, _ in live])[sources]
+        + time_offset_h,
+        context=np.zeros(sources.size, dtype=np.uint16),
         context_table=(context,),
-        induced=induced_mask)
-    return block, sources, degraded, n_hard
+        induced=induced)
+    return block, sources.astype(np.int64), degraded, n_hard
 
 
 def simulate_vectorized(policy: TacticalPolicy,
@@ -256,20 +287,15 @@ def simulate_vectorized(policy: TacticalPolicy,
         raise ValueError(f"hours must be positive and finite, got {hours}")
     classes = generator.active_classes(context)
     streams = rng.spawn(len(classes)) if classes else []
-    blocks: List[RecordBlock] = []
-    encounters_resolved = 0
-    hard_demands = 0
     with maybe_span("simulate.vectorized"):
-        for counterpart, stream in zip(classes, streams):
-            batch = generator.sample_class_batch(
-                context, counterpart, hours, policy.cue_probability, stream)
-            encounters_resolved += len(batch)
-            class_block, n_hard = resolve_batch(
-                batch, policy, perception, braking, config, stream,
-                time_offset_h)
-            blocks.append(class_block)
-            hard_demands += n_hard
-        block = RecordBlock.concat(blocks).canonical_sort()
+        batches = [generator.sample_class_batch(
+            context, counterpart, hours, policy.cue_probability, stream)
+            for counterpart, stream in zip(classes, streams)]
+        encounters_resolved = sum(len(batch) for batch in batches)
+        block, _, _, hard_demands = resolve_batch(
+            batches, streams, policy, perception, braking, config,
+            time_offset_h)
+        block = block.canonical_sort()
         result = SimulationResult(
             policy_name=policy.name,
             hours=hours,
@@ -363,34 +389,32 @@ def simulate_importance(policy: TacticalPolicy,
     nominal_profile = generator.profile(context)
     classes = proposal.active_classes(context)
     streams = rng.spawn(len(classes)) if classes else []
-    blocks: List[RecordBlock] = []
-    weights: List[np.ndarray] = []
-    diagnostics = WeightDiagnostics()
-    encounters_resolved = 0
-    hard_demands = 0
     with maybe_span("simulate.importance"):
-        for counterpart, stream in zip(classes, streams):
-            batch = proposal.sample_class_batch(
-                context, counterpart, hours, policy.cue_probability, stream)
-            log_weights = encounter_log_weights(batch, nominal_profile, tilt)
-            encounters_resolved += len(batch)
-            class_block, class_sources, degraded, n_hard = \
-                resolve_block_traced(batch, policy, perception,
-                                     proposal_braking, config, stream,
-                                     time_offset_h)
-            if len(batch):
-                log_weights += bernoulli_log_ratio(
-                    degraded, p_p=nominal_occupancy, p_q=proposal_occupancy)
-            encounter_weights = np.exp(log_weights)
+        batches = [proposal.sample_class_batch(
+            context, counterpart, hours, policy.cue_probability, stream)
+            for counterpart, stream in zip(classes, streams)]
+        encounters_resolved = sum(len(batch) for batch in batches)
+        log_weights = np.concatenate(
+            [encounter_log_weights(batch, nominal_profile, tilt)
+             for batch in batches]) if batches else np.zeros(0)
+        block, sources, degraded, hard_demands = resolve_batch(
+            batches, streams, policy, perception, proposal_braking, config,
+            time_offset_h)
+        if encounters_resolved:
+            log_weights += bernoulli_log_ratio(
+                degraded, p_p=nominal_occupancy, p_q=proposal_occupancy)
+        encounter_weights = np.exp(log_weights)
+        # Per-class slices merged in class order: one np.sum over the
+        # whole array would round differently.
+        diagnostics = WeightDiagnostics()
+        start = 0
+        for batch in batches:
+            stop = start + len(batch)
             diagnostics = diagnostics.merged(
-                WeightDiagnostics.from_weights(encounter_weights))
-            blocks.append(class_block)
-            weights.append(encounter_weights[class_sources])
-            hard_demands += n_hard
-        block = RecordBlock.concat(blocks)
+                WeightDiagnostics.from_weights(encounter_weights[start:stop]))
+            start = stop
         order = block.canonical_order()
-        record_weights = np.concatenate(weights)[order] if weights \
-            else np.zeros(0)
+        record_weights = encounter_weights[sources][order]
         result = SimulationResult(
             policy_name=policy.name,
             hours=hours,

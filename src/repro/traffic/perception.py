@@ -17,7 +17,7 @@ shapes that matter to the QRN arguments:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Tuple
 
 import numpy as np
 
@@ -79,29 +79,41 @@ class PerceptionModel:
         fraction = min(max(fraction, 0.01), 1.0)
         return sight_distance_m * fraction
 
-    def detection_distance_array(self, sight_distance_m: np.ndarray,
-                                 context: str,
-                                 rng: np.random.Generator) -> np.ndarray:
-        """Vectorized :meth:`detection_distance` over a batch of encounters.
+    def draw_detection_arrays(self, context: str, size: int,
+                              rng: np.random.Generator,
+                              ) -> Tuple[np.ndarray, np.ndarray]:
+        """The random half of a vectorized :meth:`detection_distance`.
 
         Draw layout (part of the vectorized engine's documented RNG
-        contract, see DESIGN §6): one uniform per encounter (the miss
+        contract, see DESIGN §7): one uniform per encounter (the miss
         test) followed by one normal per encounter (the nominal
         fraction).  Unlike the scalar path — which skips the normal on a
         miss — the normal is drawn for *every* element so the layout is a
         pure function of the batch length; the unused draws are
         independent of everything they are ``where``-d out of, so the
-        outcome distribution is identical.  A size-1 batch yields the
-        scalar value bit-for-bit on the non-miss branch.
+        outcome distribution is identical.  Returns ``(missed,
+        nominal)`` for :meth:`detection_distance_from_draws`.
+        """
+        factor = self.context_factors.get(context, 1.0)
+        missed = rng.uniform(size=size) < self.miss_probability
+        nominal = rng.normal(self.nominal_fraction * factor,
+                             self.fraction_std, size=size)
+        return missed, nominal
+
+    def detection_distance_from_draws(self, sight_distance_m: np.ndarray,
+                                      context: str, missed: np.ndarray,
+                                      nominal: np.ndarray) -> np.ndarray:
+        """The arithmetic half of a vectorized :meth:`detection_distance`.
+
+        Pure elementwise math over :meth:`draw_detection_arrays` output,
+        so the engine can draw per class stream and run this once over
+        the concatenated draws of a whole context.  A size-1 batch yields
+        the scalar value bit-for-bit on the non-miss branch.
         """
         sight_distance_m = np.asarray(sight_distance_m, dtype=float)
         if sight_distance_m.size and np.any(sight_distance_m <= 0):
             raise ValueError("sight distance must be positive")
         factor = self.context_factors.get(context, 1.0)
-        n = sight_distance_m.shape[0] if sight_distance_m.ndim else 1
-        missed = rng.uniform(size=n) < self.miss_probability
-        nominal = rng.normal(self.nominal_fraction * factor,
-                             self.fraction_std, size=n)
         fraction = np.where(missed, self.late_fraction * factor, nominal)
         fraction = np.clip(fraction, 0.01, 1.0)
         return sight_distance_m * fraction

@@ -272,7 +272,11 @@ def test_graceful_drain_checkpoints_and_restart_resumes(tmp_path):
     banked chunks (chunks_resumed > 0), bit-for-bit identical."""
     seed = 2020
     spool = tmp_path / "spool"
-    long_spec = dict(SPEC, seed=seed, hours=24.0)  # 12 chunks
+    # 12 chunks of 2000 h: long enough that the SIGTERM reliably lands
+    # while the runner is still mid-campaign, not after it committed its
+    # result (the drain would then rightly complete the job).
+    hours, chunk_hours = 24000.0, 2000.0
+    long_spec = dict(SPEC, seed=seed, hours=hours, chunk_hours=chunk_hours)
     daemon = Daemon(spool)
     try:
         reply = daemon.client.submit(long_spec)
@@ -317,7 +321,7 @@ def test_graceful_drain_checkpoints_and_restart_resumes(tmp_path):
             policy_by_name("nominal"),
             EncounterGenerator(default_context_profiles()),
             default_perception(), BrakingSystem(), DEFAULT_MIX,
-            24.0, seed, workers=1, chunk_hours=2.0)
+            hours, seed, workers=1, chunk_hours=chunk_hours)
         assert job_result.result == uninterrupted
         daemon.terminate_and_wait()
     finally:

@@ -9,14 +9,17 @@ process-level story (real daemons, SIGKILL, recovery) lives in
 
 from __future__ import annotations
 
+import subprocess
+import sys
 import time
 
 import pytest
 
 from repro.io.artifact import ARTIFACTS
 from repro.service import (CampaignService, CampaignSpec, DrainingError,
-                           InvalidSubmissionError, JobResult, JobStateError,
-                           QueueFullError, SpoolError, UnknownJobError,
+                           InvalidSubmissionError, JobRecord, JobResult,
+                           JobStateError, Lease, QueueFullError,
+                           ServiceJournal, SpoolError, UnknownJobError,
                            read_service_journal)
 from repro.testing.chaos import SERVICE_CHAOS_ENV
 
@@ -139,6 +142,43 @@ class TestResultCache:
         assert after.get("service.cache_hits", 0) == \
             before.get("service.cache_hits", 0) + 1
         assert after["service.completed"] == before["service.completed"] == 1
+
+    def test_result_committed_before_drain_sigterm_is_a_completion(
+            self, service):
+        """A runner that commits its result and then exits non-zero
+        because a drain's SIGTERM landed after the commit completed the
+        job: it is reaped as done, not cached, with no requeue and no
+        attempt spent."""
+        service._journal = ServiceJournal.open(service.store.journal_path)
+        service.supervisor.draining = True
+        payload = spec_payload(seed=98)
+        spec = CampaignSpec.from_dict(payload)
+        record = JobRecord.new(spec, tenant="acme", priority="normal",
+                               submit_seq=0)
+        lease = Lease(lease_id=1, epoch=service.epoch, pid=0, ttl_s=30.0)
+        record = record.advanced("leased", lease=lease,
+                                 attempts=1).advanced("running")
+        service.store.save_job(record)
+        self.seed_result(service, payload)
+        proc = subprocess.Popen([sys.executable, "-c",
+                                 "import sys; sys.exit(143)"])
+        assert proc.wait(timeout=30) == 143
+        service.supervisor._runners[record.job_id] = proc
+        service.supervisor.tick()
+        service._journal.close()
+
+        reaped = service.store.load_job(record.job_id)
+        assert reaped.state == "done"
+        assert reaped.attempts == 1
+        assert service.supervisor._runners == {}
+        assert service.scheduler.depth() == 0
+        records, _ = read_service_journal(service.store.journal_path)
+        assert [r.kind for r in records] == ["job.completed"]
+        assert records[0].data["cached"] is False
+        counters = service.metrics.snapshot().counters()
+        assert counters["service.completed"] == 1
+        assert "service.cache_hits" not in counters
+        assert "service.requeued" not in counters
 
     def test_result_envelope_requires_done(self, service):
         record, _, _ = service.submit(spec_payload())

@@ -155,6 +155,24 @@ class TestFleet:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fleet", "--policy", "bogus"])
 
+    @pytest.mark.parametrize("flag", ["--json", "--telemetry"])
+    def test_output_path_that_is_a_directory(self, tmp_path, capsys,
+                                             flag):
+        """An existing directory as an output path is one typed
+        ``error: <path>: ...`` line and exit 4, not a traceback."""
+        target = tmp_path / "taken"
+        target.mkdir()
+        code = main(["fleet", "--hours", "20", "--seed", "1",
+                     "--chunk-hours", "10", "--workers", "1", flag,
+                     str(target)])
+        err = capsys.readouterr().err
+        assert code == 4
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: {target}: ")
+        assert "Traceback" not in err
+        assert list(target.iterdir()) == []
+
     def test_engine_selection(self, tmp_path, capsys):
         """--engine picks the resolution path; the two engines carry
         different RNG layouts, so their summaries legitimately differ,

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.taxonomy import ActorClass
 from repro.traffic.encounters import (ContextProfile, Encounter,
-                                      EncounterGenerator,
+                                      EncounterBatch, EncounterGenerator,
                                       default_context_profiles)
 from repro.traffic.faults import BrakingSystem
 from repro.traffic.perception import (PerceptionModel, default_perception,
@@ -86,6 +86,33 @@ class TestGenerator:
         with pytest.raises(ValueError):
             generator.generate("urban", 0.0, 0.5, np.random.default_rng(0))
 
+    def test_class_batch_is_validated_once(self, monkeypatch):
+        """A batch with encounters builds (and validates) one
+        EncounterBatch — no throwaway empty batch on the way."""
+        calls = []
+        original = EncounterBatch.__post_init__
+        monkeypatch.setattr(EncounterBatch, "__post_init__",
+                            lambda batch: calls.append(original(batch)))
+        generator = EncounterGenerator(default_context_profiles())
+        batch = generator.sample_class_batch(
+            "urban", ActorClass.CAR, 50.0, 0.5, np.random.default_rng(6))
+        assert len(batch) > 0
+        assert len(calls) == 1
+
+    def test_zero_rate_class_makes_no_draw(self):
+        generator = EncounterGenerator({"quiet": ContextProfile(
+            "quiet", encounter_rates={ActorClass.VRU: 0.0},
+            sight_distance_m={ActorClass.VRU: (20.0, 5.0)},
+            counterpart_speed_kmh={ActorClass.VRU: (5.0, 2.0)})})
+        rng = np.random.default_rng(7)
+        before = rng.bit_generator.state
+        batch = generator.sample_class_batch(
+            "quiet", ActorClass.VRU, 100.0, 0.5, rng)
+        assert len(batch) == 0
+        assert batch.counterpart is ActorClass.VRU
+        assert batch.context == "quiet"
+        assert rng.bit_generator.state == before
+
 
 class TestPerception:
     def test_detection_never_exceeds_sight(self, rng):
@@ -129,6 +156,29 @@ class TestPerception:
     def test_invalid_sight_distance(self, rng):
         with pytest.raises(ValueError):
             default_perception().detection_distance(0.0, "day", rng)
+
+    def test_array_halves_match_scalar_on_size_one(self):
+        """Draw step + arithmetic step reproduce the scalar oracle
+        bit-for-bit on a one-element, non-miss batch."""
+        model = default_perception()
+        for seed in range(20):
+            missed, nominal = model.draw_detection_arrays(
+                "night", 1, np.random.default_rng(seed))
+            if missed[0]:
+                continue
+            vector = model.detection_distance_from_draws(
+                np.array([40.0]), "night", missed, nominal)
+            scalar = model.detection_distance(
+                40.0, "night", np.random.default_rng(seed))
+            assert vector.tolist() == [scalar]
+
+    def test_array_arithmetic_rejects_bad_sight(self):
+        model = default_perception()
+        missed, nominal = model.draw_detection_arrays(
+            "day", 2, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="sight distance"):
+            model.detection_distance_from_draws(
+                np.array([5.0, 0.0]), "day", missed, nominal)
 
 
 class TestBrakingSystem:

@@ -98,9 +98,9 @@ class TestExactSingleEncounterAgreement:
                     scalar_records, scalar_hard = _scalar_reference(
                         encounter, policy, perception, braking, config,
                         np.random.default_rng(seed))
-                    vector_block, vector_hard = resolve_batch(
-                        batch, policy, perception, braking, config,
-                        np.random.default_rng(seed))
+                    vector_block, _, _, vector_hard = resolve_batch(
+                        [batch], [np.random.default_rng(seed)], policy,
+                        perception, braking, config)
                     vector_records = vector_block.to_records()
                     assert sorted(scalar_records, key=_record_key) \
                         == sorted(vector_records, key=_record_key), (
@@ -130,9 +130,9 @@ class TestExactSingleEncounterAgreement:
             scalar_records, scalar_hard = _scalar_reference(
                 encounter, policy, perception, braking, config,
                 np.random.default_rng(seed))
-            vector_block, vector_hard = resolve_batch(
-                batch, policy, perception, braking, config,
-                np.random.default_rng(seed))
+            vector_block, _, _, vector_hard = resolve_batch(
+                [batch], [np.random.default_rng(seed)], policy, perception,
+                braking, config)
             vector_records = vector_block.to_records()
             assert sorted(scalar_records, key=_record_key) \
                 == sorted(vector_records, key=_record_key)
@@ -156,9 +156,9 @@ class TestExactSingleEncounterAgreement:
             scalar_records, scalar_hard = _scalar_reference(
                 encounter, policy, perception, braking, config,
                 np.random.default_rng(0))
-            vector_block, vector_hard = resolve_batch(
-                batch, policy, perception, braking, config,
-                np.random.default_rng(0))
+            vector_block, _, _, vector_hard = resolve_batch(
+                [batch], [np.random.default_rng(0)], policy, perception,
+                braking, config)
             vector_records = vector_block.to_records()
             assert sorted(scalar_records, key=_record_key) \
                 == sorted(vector_records, key=_record_key)
@@ -189,9 +189,9 @@ class TestExactDeterministicBatchAgreement:
                 np.random.default_rng(1))
             scalar_records.extend(records)
             scalar_hard += hard
-        vector_block, vector_hard = resolve_batch(
-            batch, policy, perception, braking, config,
-            np.random.default_rng(1))
+        vector_block, _, _, vector_hard = resolve_batch(
+            [batch], [np.random.default_rng(1)], policy, perception,
+            braking, config)
         vector_records = vector_block.to_records()
         assert sorted(scalar_records, key=_record_key) \
             == sorted(vector_records, key=_record_key)

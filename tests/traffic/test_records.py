@@ -421,7 +421,7 @@ class TestSingleStorageForm:
         from repro.stats.importance import bernoulli_log_ratio
         from repro.traffic import ProposalTilt, simulate_importance
         from repro.traffic.encounters import encounter_log_weights
-        from repro.traffic.engine import resolve_block_traced
+        from repro.traffic.engine import resolve_batch
         from repro.traffic.simulator import SimulationConfig
 
         world = EncounterGenerator(default_context_profiles())
@@ -445,9 +445,9 @@ class TestSingleStorageForm:
                 "urban", counterpart, 20.0, policy.cue_probability, stream)
             log_weights = encounter_log_weights(
                 batch, world.profile("urban"), tilt)
-            block, sources, degraded, _ = resolve_block_traced(
-                batch, policy, perception, proposal_braking,
-                SimulationConfig(), stream)
+            block, sources, degraded, _ = resolve_batch(
+                [batch], [stream], policy, perception, proposal_braking,
+                SimulationConfig())
             if len(batch):
                 log_weights += bernoulli_log_ratio(
                     degraded, p_p=nominal_occupancy, p_q=proposal_occupancy)
