@@ -22,7 +22,8 @@ _EXPORTS = {
     **dict.fromkeys(("GcPlan", "GcReport", "RetentionPolicy",
                      "compact_journal", "plan_gc", "run_gc"), "gc"),
     **dict.fromkeys(("JOB_RECORD_SCHEMA", "JOB_RECORD_SCHEMA_NAME",
-                     "JOB_STATES", "PRIORITY_CLASSES", "TERMINAL_STATES",
+                     "JOB_STATES", "MAX_JOB_WAIT_S", "PRIORITY_CLASSES",
+                     "TERMINAL_STATES",
                      "CampaignSpec", "DiskPressureError", "DrainingError",
                      "InvalidSubmissionError", "JobRecord", "JobStateError",
                      "Lease", "QueueFullError", "ServiceError", "SpoolError",

@@ -47,10 +47,10 @@ from ..io.validate import Int, MapOf, NullOr, Number, Record, Str
 
 __all__ = [
     "JOB_RECORD_SCHEMA", "JOB_RECORD_SCHEMA_NAME", "JOB_STATES",
-    "PRIORITY_CLASSES", "TERMINAL_STATES", "CampaignSpec", "JobRecord",
-    "Lease", "ServiceError", "QueueFullError", "DrainingError",
-    "UnknownJobError", "InvalidSubmissionError", "SpoolError",
-    "JobStateError", "DiskPressureError",
+    "MAX_JOB_WAIT_S", "PRIORITY_CLASSES", "TERMINAL_STATES",
+    "CampaignSpec", "JobRecord", "Lease", "ServiceError", "QueueFullError",
+    "DrainingError", "UnknownJobError", "InvalidSubmissionError",
+    "SpoolError", "JobStateError", "DiskPressureError",
 ]
 
 JOB_RECORD_SCHEMA_NAME = "repro.job-record"
@@ -62,6 +62,10 @@ JOB_STATES = ("queued", "leased", "running", "done", "failed", "cancelled")
 #: States no transition leaves (except an explicit resubmission of a
 #: ``failed``/``cancelled`` spec, which re-queues the same record).
 TERMINAL_STATES = ("done", "failed", "cancelled")
+
+#: The longest ``GET /v1/jobs/<id>?wait=S`` blocks before answering
+#: with a still-running job; a larger ``wait`` is clamped to it.
+MAX_JOB_WAIT_S = 30.0
 
 #: Scheduling classes, strongest first — the scheduler drains a class
 #: completely before touching the next.

@@ -26,7 +26,7 @@ class Script:
         self.errors = list(errors)
         self.calls = 0
 
-    def __call__(self, method, path, body=None):
+    def __call__(self, method, path, body=None, timeout_s=None):
         self.calls += 1
         if self.errors:
             raise self.errors.pop(0)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -473,6 +474,159 @@ def test_cancel_running_job_via_cli(tmp_path):
             client.cancel(job_id)
         assert excinfo.value.kind == "job-state"
         assert excinfo.value.http_status == 409
+        daemon.terminate_and_wait()
+    finally:
+        daemon.kill()
+
+
+# -- the spare runner ------------------------------------------------------
+
+#: Child-process lists per thread (CONFIG_PROC_CHILDREN); without them a
+#: daemon's idle spare, which no API lists, cannot be found.
+needs_proc_children = pytest.mark.skipif(
+    not Path(f"/proc/self/task/{os.getpid()}/children").exists(),
+    reason="needs /proc/<pid>/task/<tid>/children")
+
+
+def runner_children(pid: int) -> set:
+    """Pids of the live ``repro.service.runner`` children of ``pid``."""
+    found = set()
+    for task in Path(f"/proc/{pid}/task").iterdir():
+        try:
+            kids = (task / "children").read_text().split()
+        except OSError:
+            continue
+        for kid in kids:
+            try:
+                cmdline = Path(f"/proc/{kid}/cmdline").read_bytes()
+            except OSError:
+                continue
+            if b"repro.service.runner" in cmdline.split(b"\0"):
+                found.add(int(kid))
+    return found
+
+
+def wait_spare(daemon: Daemon, exclude: set = frozenset()) -> int:
+    """The daemon's idle spare runner (not one running a job)."""
+    deadline = time.monotonic() + DEADLINE_S
+    while time.monotonic() < deadline:
+        busy = set(daemon.client.status()["running"].values())
+        spares = runner_children(daemon.proc.pid) - busy - set(exclude)
+        if len(spares) == 1:
+            return spares.pop()
+        assert len(spares) < 2, f"more than one spare: {spares}"
+        time.sleep(0.05)
+    raise AssertionError("the daemon never spawned a spare runner")
+
+
+def exited(pid: int) -> bool:
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return True
+    return stat[stat.rindex(")") + 2] == "Z"
+
+
+def spool_snapshot(spool: Path) -> dict:
+    return {str(p.relative_to(spool)): (p.stat().st_size,
+                                        p.stat().st_mtime_ns)
+            for p in sorted(spool.rglob("*"))}
+
+
+@needs_proc_children
+def test_spare_takes_the_job_is_never_listed_and_drains(tmp_path):
+    """The idle spare is the process a grant hands the job to; /status
+    never lists a spare; SIGTERM drain leaves no child of the daemon."""
+    spool = tmp_path / "spool"
+    daemon = Daemon(spool)
+    try:
+        spare = wait_spare(daemon)
+        assert daemon.client.status()["running"] == {}
+        reply = daemon.client.submit(dict(SPEC, seed=2020, hours=24000.0,
+                                          chunk_hours=2000.0))
+        job_id = reply["job"]["job_id"]
+        wait_job_state(spool, job_id, ("running",))
+        assert daemon.client.status()["running"] == {job_id: spare}
+        next_spare = wait_spare(daemon)
+        assert next_spare != spare
+        assert daemon.client.status()["running"] == {job_id: spare}
+        children = runner_children(daemon.proc.pid)
+        assert children == {spare, next_spare}
+        assert daemon.terminate_and_wait() == 0
+    finally:
+        daemon.kill()
+    assert all(exited(pid) for pid in children), \
+        "a runner outlived the drained daemon"
+    assert JobStore(spool).load_job(job_id).state == "queued"
+
+
+@needs_proc_children
+def test_orphaned_idle_spare_exits_on_eof_without_touching_spool(tmp_path):
+    """SIGKILL the daemon: its idle spare reads EOF and exits within a
+    few seconds, writing nothing to the spool."""
+    spool = tmp_path / "spool"
+    daemon = Daemon(spool)
+    try:
+        spare = wait_spare(daemon)
+    finally:
+        daemon.kill()
+    before = spool_snapshot(spool)
+    deadline = time.monotonic() + 30.0
+    while not exited(spare):
+        assert time.monotonic() < deadline, "the orphaned spare lingers"
+        time.sleep(0.05)
+    assert spool_snapshot(spool) == before
+
+
+@needs_proc_children
+def test_spare_killed_while_idle_is_replaced(tmp_path):
+    """A spare SIGKILLed while idle is replaced at the next grant, and
+    that job still completes bit-for-bit on its first attempt."""
+    seed = 2020
+    spool = tmp_path / "spool"
+    daemon = Daemon(spool)
+    try:
+        spare = wait_spare(daemon)
+        os.kill(spare, signal.SIGKILL)
+        deadline = time.monotonic() + DEADLINE_S
+        while not exited(spare):
+            assert time.monotonic() < deadline, "SIGKILL did not land"
+            time.sleep(0.05)
+        reply = daemon.client.submit(dict(SPEC, seed=seed))
+        job_id = reply["job"]["job_id"]
+        wait_job_state(spool, job_id, ("done", "failed"))
+        record = JobStore(spool).load_job(job_id)
+        assert (record.state, record.attempts) == ("done", 1)
+        assert_completed_bit_for_bit(spool, job_id, seed)
+        wait_spare(daemon, exclude={spare})
+        assert JobStore(spool).load_job(job_id).attempts == 1
+        daemon.terminate_and_wait()
+    finally:
+        daemon.kill()
+
+
+def test_submit_wait_prints_accepted_then_done(tmp_path, capsys):
+    """``repro submit --wait`` long-polls to the same two lines the
+    polling loop printed."""
+    from repro.cli import main
+
+    seed = 2020
+    spool = tmp_path / "spool"
+    daemon = Daemon(spool)
+    try:
+        code = main(["submit", "--spool", str(spool), "--seed", str(seed),
+                     "--hours", str(SPEC["hours"]), "--chunk-hours",
+                     str(SPEC["chunk_hours"]), "--workers", "1", "--wait"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert len(lines) == 2, lines
+        accepted = re.fullmatch(
+            r"job (j-[0-9a-f]{16}) accepted \(state queued, tenant "
+            r"default, priority normal\)", lines[0])
+        assert accepted is not None, lines[0]
+        job_id = accepted.group(1)
+        assert lines[1] == f"job {job_id} finished: done"
+        assert_completed_bit_for_bit(spool, job_id, seed)
         daemon.terminate_and_wait()
     finally:
         daemon.kill()

@@ -74,6 +74,37 @@ def test_simulator_and_runner_load_no_scipy_stats_or_optimize(tmp_path):
     assert heavy(modules, ("scipy.stats", "scipy.optimize")) == []
 
 
+def test_runner_imports_nothing_after_the_handoff(tmp_path):
+    """A spare runner imports before it reads its job id; running the
+    job must then load no further repro, numpy or scipy module."""
+    from repro.service import CampaignSpec, JobRecord, JobStore
+
+    spool = tmp_path / "spool"
+    spec = CampaignSpec.from_dict({"policy": "nominal", "hours": 50.0,
+                                   "seed": 7, "workers": 1})
+    JobStore(spool).save_job(JobRecord.new(spec, tenant="t",
+                                           priority="normal",
+                                           submit_seq=0))
+    out = tmp_path / "late-imports.txt"
+    script = textwrap.dedent(f"""
+        import sys
+        import repro.service.runner as runner
+        before = set(sys.modules)
+        code = runner.main([{str(spool)!r}])
+        with open({str(out)!r}, "w") as handle:
+            handle.write(f"{{code}}\\n")
+            handle.write("\\n".join(sorted(set(sys.modules) - before)))
+        """)
+    env = dict(os.environ, PYTHONPATH=SRC)
+    subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                   timeout=120, cwd=tmp_path, input=f"{spec.job_id}\n",
+                   text=True)
+    code, *late = out.read_text().split("\n")
+    assert code == "0"
+    assert JobStore(spool).has_result(spec.digest)
+    assert heavy(set(late), ("repro", "numpy", "scipy")) == []
+
+
 def test_bare_service_package_imports_no_submodule(tmp_path):
     modules = fresh_modules("import repro.service", tmp_path)
     assert heavy(modules, ("repro.service",)) == ["repro.service"]
